@@ -15,8 +15,8 @@ import (
 
 // TestAllocBudgets enforces the committed allocation budgets of the
 // frontend hot path (BENCH_allocs.json): classify, render, a render
-// cache hit, a render cache miss, and a /metrics scrape, measured with
-// testing.AllocsPerRun. Any increase over a committed budget fails the
+// cache hit, a render cache miss, the flight record's arm and commit,
+// and a /v1/metrics scrape, measured with testing.AllocsPerRun. Any increase over a committed budget fails the
 // build (the alloc-gate CI job); improvements print a reminder to
 // re-baseline. Re-baseline deliberately with:
 //
@@ -78,18 +78,21 @@ func TestAllocBudgets(t *testing.T) {
 
 // measureAllocs builds a cache-enabled host server and measures each
 // hot-path segment in isolation. Everything runs in-process against the
-// same respond path the TCP handler uses, so the numbers track the real
-// serving loop, not a synthetic copy.
+// shared frontend's respond, arm, commit, and metrics paths — the ones
+// its connection loop runs in both modes — with the host executor
+// behind them, so the numbers track the real serving loop, not a
+// synthetic copy.
 func measureAllocs(t *testing.T) map[string]float64 {
 	t.Helper()
 	s := NewTCPServer(4096)
 	s.EnableRenderCache(1 << 12)
-	uid, pw := s.Seed(7001)
-	a := newConnArena(s.reg.MaxBufferBytes())
+	f := s.frontend
+	uid, pw := f.Seed(7001)
+	a := newConnArena(f.arenaOut)
 
 	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
 	login := []byte(fmt.Sprintf("POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-	resp, _, _ := s.respond(a, login)
+	resp, _, _ := f.respond(a, login)
 	cookie := setCookieValue(string(resp))
 	if cookie == "" {
 		t.Fatalf("login returned no cookie: %.200q", resp)
@@ -127,9 +130,9 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// cache_hit: the full respond path when the page is cached — the
 	// steady state the render cache buys (budget: <= 1, the parse's
 	// raw-to-string conversion).
-	s.respond(a, summary) // prime
+	f.respond(a, summary) // prime
 	m["cache_hit"] = testing.AllocsPerRun(500, func() {
-		if r, _, _ := s.respond(a, summary); len(r) == 0 {
+		if r, _, _ := f.respond(a, summary); len(r) == 0 {
 			bad = true
 		}
 	})
@@ -137,8 +140,8 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// cache_miss: the full respond path when the user's state version
 	// just moved — execute, render, and re-insert.
 	m["cache_miss"] = testing.AllocsPerRun(200, func() {
-		s.cache.Invalidate(uid)
-		if r, _, _ := s.respond(a, summary); len(r) == 0 {
+		f.cache.Invalidate(uid)
+		if r, _, _ := f.respond(a, summary); len(r) == 0 {
 			bad = true
 		}
 	})
@@ -148,22 +151,21 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// recorder's always-on per-request cost (budget: <= 1 alloc/request;
 	// measured 0 — ring slots are preallocated and the splice reuses the
 	// arena's write buffer).
+	st, ok := f.reg.Classify(&a.req)
+	if !ok {
+		t.Fatal("account_summary did not classify")
+	}
 	flightStart := time.Now()
 	m["flight_append"] = testing.AllocsPerRun(500, func() {
-		id := s.flight.NextID()
-		a.frec.Reset()
-		a.frec.TraceID = id
-		a.frec.Type = "account_summary"
-		a.frec.Start = flightStart
+		id := f.arm(a, st, flightStart)
 		a.frec.HostExec = true
-		a.frec.Latency = time.Millisecond
-		s.flight.Finish(&a.frec)
 		a.wbuf = spliceTraceHeader(a.wbuf, resp, id)
+		f.commit(a, nil, id, flightStart)
 	})
 
-	// metrics_scrape: one Prometheus /metrics render.
+	// metrics_scrape: one Prometheus /v1/metrics render.
 	m["metrics_scrape"] = testing.AllocsPerRun(100, func() {
-		if len(s.metricsResponse()) == 0 {
+		if len(f.metricsResponse()) == 0 {
 			bad = true
 		}
 	})

@@ -1,18 +1,13 @@
 package rhythm
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rhythm/internal/adapt"
-	"rhythm/internal/backend"
 	"rhythm/internal/cluster"
 	"rhythm/internal/cohort"
 	"rhythm/internal/fabric"
@@ -27,9 +22,6 @@ import (
 	"rhythm/internal/simt"
 	"rhythm/internal/stats"
 )
-
-// StatsPath is the endpoint both TCP servers expose for live counters.
-const StatsPath = "/rhythm-stats"
 
 // CohortOptions tunes the live cohort-batched server.
 type CohortOptions struct {
@@ -81,7 +73,7 @@ type CohortOptions struct {
 	// of admission capacity: a workload holding more than
 	// share×(AdmitQueue+OverflowLimit) concurrent in-flight requests
 	// sheds with 503, counted per workload in /v1/stats
-	// (workload_sheds) and /metrics (rhythm_shed_total).
+	// (workload_sheds) and /v1/metrics (rhythm_shed_total).
 	WorkloadQuotas map[string]float64
 	// FormationTimeout is the wall-clock §3.1 formation deadline
 	// measured from a cohort's first request (default 2ms; negative
@@ -136,7 +128,7 @@ type CohortOptions struct {
 	// ProfileRing sizes the launch-record ring (0 = simt default, 4096).
 	ProfileRing int
 	// TraceCapacity bounds the request-trace recorder behind
-	// /rhythm-trace (0 = obs default, 1024).
+	// /v1/trace (0 = obs default, 1024).
 	TraceCapacity int
 	// RenderCache, when positive, enables the whole-page render cache
 	// with roughly this many entries: repeated read-only requests are
@@ -214,20 +206,18 @@ type liveReq struct {
 	spans    []obs.Span
 	resp     chan []byte // buffered(1): the loop never blocks delivering
 
-	// frec is the request's flight record, shared handler↔loop under the
-	// same resp-channel fence as spans: the loop fills the causal fields
-	// (cohort size, launch reason, device, launch seqs, status) before
-	// sending on resp, and the handler Finishes it only after receiving.
-	// The no-response paths (504, loop exit) must NOT touch frec — the
-	// loop may still be writing — and use a local Record instead.
+	// frec is the request's flight record, a copy of the connection's
+	// armed record shared handler↔loop under the same resp-channel fence
+	// as spans: the loop fills the causal fields (cohort size, launch
+	// reason, device, launch seqs, status) before sending on resp, and
+	// the handler copies it back only after receiving. The no-response
+	// paths (504, loop exit) must NOT touch frec — the loop may still be
+	// writing — and record their outcome in the connection's copy.
 	frec flight.Record
 
-	// Render-cache insertion state, captured before admission: the
-	// resolved session/user and the user's state version at lookup time.
-	// The completion path inserts the rendered page under these.
-	cacheable  bool
-	csid       session.ID
-	cuid, cver uint64
+	// slot is the render-cache insertion key captured before admission;
+	// the completion path inserts the rendered page under it.
+	slot cacheSlot
 }
 
 // flushMsg asks the loop to launch the forming cohort for a key; gen
@@ -272,8 +262,8 @@ type CohortTypeStats struct {
 	Stages        []perStage `json:"stages"`
 }
 
-// CohortServerStats is the /rhythm-stats document of a cohort-mode
-// server (cmd/rhythm-load decodes it to report server-side batching).
+// CohortServerStats is the /v1/stats document of a cohort-mode server
+// (cmd/rhythm-load decodes it to report server-side batching).
 type CohortServerStats struct {
 	SchemaVersion int    `json:"schema_version"`
 	Mode          string `json:"mode"`
@@ -327,8 +317,7 @@ type CohortServerStats struct {
 	ShedCohorts   uint64 `json:"shed_cohorts"`
 
 	// Fabric topology (schema v5): transport kind, per-node rows, and
-	// node-level failover/link counters. Stripped from the ?schema=4
-	// legacy rendering.
+	// node-level failover/link counters.
 	Transport     string                `json:"transport,omitempty"`
 	Nodes         []fabric.NodeSnapshot `json:"nodes,omitempty"`
 	NodeFailovers uint64                `json:"node_failovers,omitempty"`
@@ -356,16 +345,9 @@ type CohortServerStats struct {
 	Types map[string]CohortTypeStats `json:"types"`
 }
 
-// liveConn wraps an accepted connection with a busy flag so graceful
-// shutdown can close idle (reading) connections while letting a handler
-// mid-response finish its write.
-type liveConn struct {
-	net.Conn
-	busy atomic.Bool
-}
-
 // CohortServer serves every registered workload over TCP through the
-// paper's cohort pipeline: connection handlers parse and classify
+// paper's cohort pipeline. It is the shared frontend plus the cohort
+// executor: the frontend's connection handlers parse and classify
 // requests on the host, a single device-loop goroutine batches them into
 // cohort.Pool contexts under the §3.1 formation timeout, and each full
 // (or timed-out) cohort runs its stage kernels on the modeled SIMT
@@ -378,13 +360,8 @@ type liveConn struct {
 // remains a purely virtual device timeline, stepped by the loop while
 // launches are in flight.
 type CohortServer struct {
+	*frontend
 	opts CohortOptions
-	// reg is the workload registry; names its display-label universe
-	// indexed by TypeID, labels the precomputed per-type Prometheus
-	// label sets (workload + type).
-	reg    *service.Registry
-	names  []string
-	labels []string
 	// fab is the device fabric: the node tier the dispatch loop ships
 	// formed cohorts into. Loopback (default) keeps every node
 	// in-process; WorkerAddrs makes them remote (DESIGN.md §17).
@@ -394,9 +371,6 @@ type CohortServer struct {
 	// methods are internally locked; the hot handler path touches it only
 	// in Arrival and RetryAfter.
 	ctrl *adapt.Controller
-	// cache, when non-nil, is the whole-page render cache; hits are
-	// answered before admission.
-	cache *rcache.Cache
 
 	admitCh chan *liveReq
 	flushCh chan flushMsg
@@ -405,40 +379,14 @@ type CohortServer struct {
 	doneCh  chan struct{}
 
 	stopOnce sync.Once
-	closing  atomic.Bool
-
-	mu sync.Mutex // listener only
-	ln net.Listener
-
-	connMu sync.Mutex
-	conns  map[*liveConn]struct{}
-	connWG sync.WaitGroup
 
 	// Handler-side counters (many goroutines).
-	served         atomic.Uint64
-	parseErrors    atomic.Uint64
-	notFound       atomic.Uint64
-	images         atomic.Uint64
 	rejectedQueue  atomic.Uint64
 	deadlineMisses atomic.Uint64
 
-	// Observability surfaces, safe from any goroutine: the request-trace
-	// ring behind /rhythm-trace and the atomic histograms behind /metrics.
-	tracer    *obs.Recorder
-	latHist   []*stats.Histogram // per service.TypeID, nanoseconds
-	formHist  *stats.Histogram   // formation wait, nanoseconds
-	occupHist *stats.Histogram   // cohort occupancy at launch
-
-	// flight is the always-on tail-latency recorder behind
-	// /v1/debug/flight; hEngine the SLO burn-rate engine behind
-	// /v1/health; badByType counts per-type requests that never reach
-	// latHist (sheds, deadline misses) so the health engine's totals see
-	// them; captureBusy serializes blocking ?secs=N trace captures
-	// (DESIGN.md §15).
-	flight      *flight.Recorder
-	hEngine     *health.Engine
-	badByType   []atomic.Uint64 // per service.TypeID
-	captureBusy atomic.Bool
+	// Atomic histograms behind /v1/metrics.
+	formHist  *stats.Histogram // formation wait, nanoseconds
+	occupHist *stats.Histogram // cohort occupancy at launch
 
 	// Per-workload admission quotas (WorkloadQuotas): wlLimit is each
 	// workload's concurrent-request cap (0 = unlimited), wlInflight the
@@ -499,28 +447,31 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 	}
 	s := &CohortServer{
 		opts:      opts,
-		reg:       reg,
-		names:     reg.DisplayNames(),
-		labels:    typeLabelSets(reg),
 		fab:       fab,
 		admitCh:   make(chan *liveReq, opts.AdmitQueue),
 		flushCh:   make(chan flushMsg, 256),
 		doCh:      make(chan func(), 16),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		conns:     make(map[*liveConn]struct{}),
 		forming:   make(map[string]*formingTimer),
 		perType:   make(map[string]*typeCounters),
 		formWait:  stats.NewLatencyRecorder(),
 		launchLat: stats.NewLatencyRecorder(),
 		reqLat:    stats.NewLatencyRecorder(),
-		tracer:    obs.NewRecorder(opts.TraceCapacity),
-		latHist:   newLatencyHistograms(reg.NumTypes()),
 		formHist:  stats.NewHistogram(stats.LatencyBucketsNs()),
 		occupHist: stats.NewHistogram(stats.PowersOfTwoBuckets(opts.CohortSize)),
-		flight:    flight.New(flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow}),
-		badByType: make([]atomic.Uint64, reg.NumTypes()),
 	}
+	s.frontend = newFrontend(s, reg, frontendConfig{
+		mode:     "cohort",
+		traceCap: opts.TraceCapacity,
+		flight:   flight.Config{Ring: opts.FlightRing, Slow: opts.FlightSlow},
+		health: health.Config{
+			Objective:  opts.HealthObjective,
+			SLO:        opts.SLO,
+			FastWindow: opts.HealthFastWindow,
+			SlowWindow: opts.HealthSlowWindow,
+		},
+	})
 	ws := reg.Workloads()
 	s.wlLimit = make([]int64, len(ws))
 	s.wlInflight = make([]atomic.Int64, len(ws))
@@ -546,20 +497,6 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		}
 		s.wlLimit[idx] = limit
 	}
-	healthSLO := opts.SLO
-	if healthSLO <= 0 {
-		healthSLO = defaultHealthSLO
-	}
-	names := s.names
-	sloNs := float64(healthSLO)
-	s.hEngine = health.New(health.Config{
-		Objective:  opts.HealthObjective,
-		SLO:        healthSLO,
-		FastWindow: opts.HealthFastWindow,
-		SlowWindow: opts.HealthSlowWindow,
-	}, func() map[string]health.Counts {
-		return sloCounts(names, s.latHist, sloNs, s.badByType)
-	})
 	if opts.RenderCache > 0 {
 		s.cache = rcache.New(opts.RenderCache)
 		// The hook observes every committed Besim write fabric-wide:
@@ -606,79 +543,23 @@ func (s *CohortServer) retryAfter() time.Duration {
 	return s.opts.RetryAfter
 }
 
-// Seed reports the deterministic credentials for userID. Every shard
-// group's Besim synthesizes the same profile for a userID on first
-// touch, so no state needs creating up front.
-func (s *CohortServer) Seed(userID uint64) (uint64, string) {
-	return userID, backend.PasswordFor(userID)
+// Shutdown drains gracefully (Drain): stop accepting, reject new
+// admissions, flush partially-full cohorts, wait for in-flight launches
+// to write their responses back, then close connections. ctx bounds the
+// wait.
+func (s *CohortServer) Shutdown(ctx context.Context) error { return s.Drain(ctx) }
+
+// Snapshot returns the cohort-mode stats document.
+func (s *CohortServer) Snapshot() ServerStats {
+	st := s.Stats()
+	return ServerStats{Mode: "cohort", Cohort: &st}
 }
 
-// Addr reports the bound address once Listen has been called.
-func (s *CohortServer) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Served reports how many responses have been produced (including error
-// and shed responses).
-func (s *CohortServer) Served() uint64 { return s.served.Load() }
-
-// Listen binds the listener without serving.
-func (s *CohortServer) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	return nil
-}
-
-// Serve accepts connections until the listener closes (Shutdown).
-func (s *CohortServer) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
-		return errors.New("rhythm: Serve before Listen")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go s.handle(conn)
-	}
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *CohortServer) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
-// Shutdown drains gracefully: stop accepting, reject new admissions,
-// flush partially-full cohorts, wait for in-flight launches to write
-// their responses back, then close connections (idle ones immediately,
-// busy ones after their current write). ctx bounds the wait.
-func (s *CohortServer) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+// drain stops the dispatch loop once it has flushed every forming
+// cohort and delivered every in-flight response, then closes the
+// fabric. The frontend has already closed the listener and set closing,
+// so no new admission arrives.
+func (s *CohortServer) drain(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	select {
 	case <-s.doneCh:
@@ -689,254 +570,87 @@ func (s *CohortServer) Shutdown(ctx context.Context) error {
 	// returns once loopback node workers have drained and exited (on
 	// tcp it closes the worker connections).
 	s.fab.Close()
-	// Every admitted request now has its response delivered; handlers
-	// parked in a read will never produce another admission (the closing
-	// flag sheds), so closing them is safe. Handlers mid-write finish
-	// first — the busy flag protects them.
-	//
-	// Barrier: a handler that saw closing==false completes its WaitGroup
-	// registration (under connMu) before we start waiting.
-	//lint:ignore SA2001 the empty critical section is the barrier
-	s.connMu.Lock()
-	s.connMu.Unlock()
-	waited := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(waited)
-	}()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.connMu.Lock()
-		for lc := range s.conns {
-			if !lc.busy.Load() {
-				lc.Close()
-			}
-		}
-		s.connMu.Unlock()
-		select {
-		case <-waited:
-			return nil
-		case <-ctx.Done():
-			s.connMu.Lock()
-			for lc := range s.conns {
-				lc.Close()
-			}
-			s.connMu.Unlock()
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
+	return nil
 }
 
-// handle serves one keep-alive connection.
-func (s *CohortServer) handle(conn net.Conn) {
-	lc := &liveConn{Conn: conn}
-	s.connMu.Lock()
+// execute admits one classified request to the device loop and waits
+// for the cohort path's response, shedding with 503 while draining, past
+// the workload's quota, or on a full admission queue, and answering 504
+// past the request deadline. Only a response delivered over lr.resp
+// returns spans and hands the loop-filled flight record back to a.frec;
+// on the other paths the loop may still own lr, so the outcome goes
+// into a.frec directly.
+func (s *CohortServer) execute(a *connArena, t service.TypeID, slot cacheSlot) ([]byte, []obs.Span) {
 	if s.closing.Load() {
-		s.connMu.Unlock()
-		conn.Close()
-		return
+		return s.shedLocal(a, t), nil
 	}
-	s.conns[lc] = struct{}{}
-	s.connWG.Add(1)
-	s.connMu.Unlock()
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, lc)
-		s.connMu.Unlock()
-		s.connWG.Done()
-	}()
-	r := bufio.NewReader(conn)
-	a := newParseArena()
-	for {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		raw, err := readRequestInto(r, a.raw[:0])
-		a.raw = raw
-		if err != nil {
-			return
-		}
-		lc.busy.Store(true)
-		resp, lr, id := s.respond(a, raw)
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		wstart := time.Now()
-		wout := resp
-		if id != 0 {
-			a.wbuf = spliceTraceHeader(a.wbuf, resp, id)
-			wout = a.wbuf
-		}
-		_, werr := conn.Write(wout)
-		lc.busy.Store(false)
-		if lr != nil {
-			// Response came through lr.resp, so the loop is done with the
-			// span slice and flight record (channel happens-before); finish
-			// and commit both.
-			lr.spans = append(lr.spans, obs.Span{Name: "write", Start: wstart, Dur: time.Since(wstart)})
-			s.tracer.Add(obs.RequestTrace{Type: s.names[lr.t], Spans: lr.spans})
-			lr.frec.Spans = lr.spans
-			lr.frec.Latency = time.Since(lr.frec.Start)
-			s.flight.Finish(&lr.frec)
-		}
-		if werr != nil || s.closing.Load() {
-			return
-		}
-	}
-}
-
-// respond parses and classifies one request on the host, then either
-// answers it directly (stats, metrics, traces, images, errors) or admits
-// it to the device loop and waits for the cohort path's response. The
-// returned liveReq is non-nil only when the response was delivered over
-// lr.resp — the caller may then read lr.spans and lr.frec to finish the
-// trace and flight record. The returned trace ID is non-zero for every
-// classified request (the caller splices it into the response headers);
-// on the nil-liveReq classified paths the flight record has already been
-// finished here with a local Record.
-func (s *CohortServer) respond(a *connArena, raw []byte) ([]byte, *liveReq, uint64) {
-	s.served.Add(1)
-	start := time.Now()
-	req := &a.req
-	if err := httpx.ParseInto(raw, req); err != nil {
-		s.parseErrors.Add(1)
-		return errorResponse(400, "Bad Request"), nil, 0
-	}
-	switch req.Path {
-	case StatsPath, StatsPathV1:
-		return s.statsResponse(req), nil, 0
-	case MetricsPath, MetricsPathV1:
-		return s.metricsResponse(), nil, 0
-	case TracePath, TracePathV1:
-		return s.traceResponse(req), nil, 0
-	case FlightPathV1:
-		return flightResponse(req, s.flight), nil, 0
-	case HealthPathV1:
-		return healthResponse(s.hEngine, s.flight), nil, 0
-	case TopologyPathV1:
-		return s.topologyResponse(), nil, 0
-	}
-	t, ok := s.reg.Classify(req)
-	if !ok {
-		if resp, ok := s.reg.Static(req.Path); ok {
-			s.images.Add(1)
-			return resp, nil, 0
-		}
-		s.notFound.Add(1)
-		return errorResponse(404, "Not Found"), nil, 0
-	}
-	id := s.flight.NextID()
-	widx := s.reg.WorkloadIndex(t)
-	if s.closing.Load() {
-		s.rejectedQueue.Add(1)
-		s.wlSheds[widx].Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusShed)
-		return busyResponse(s.retryAfter()), nil, id
-	}
-	group := s.fab.GroupFor(req, t)
-
-	// Render-cache lookup, before admission: a hit bypasses cohort
-	// formation and kernel launch entirely. The state version is
-	// captured BEFORE execution so a concurrent write can only make the
-	// later insert unreachable, never stale (DESIGN.md §14). Session
-	// lookup here is race-safe: the group's array is bucket-locked.
-	var (
-		cacheable  bool
-		csid       session.ID
-		cuid, cver uint64
-	)
-	if s.cache != nil && group >= 0 && s.reg.Spec(t).Cacheable {
-		if sid, ok := session.ParseID(req.Cookie(s.reg.WorkloadOf(t).SessionCookie())); ok {
-			// GroupSessions is nil while the group's owning node is down
-			// (and always on remote transports, where the cache is off).
-			if arr := s.fab.GroupSessions(group); arr != nil {
-				if uid, ok := arr.Lookup(sid); ok {
-					cacheable, csid, cuid = true, sid, uid
-					cver = s.cache.Version(cuid)
-					if resp, hit := s.cache.Get(t, csid, cuid, cver, req); hit {
-						s.latHist[t].ObserveEx(float64(time.Since(start)), id)
-						s.finishLocal(id, t, start, flight.StatusOK)
-						return resp, nil, id
-					}
-				}
-			}
-		}
-	}
-
 	// Per-workload admission quota: the slot is held until this handler
 	// returns (every exit path below runs the deferred release), so the
 	// count is exactly the workload's concurrent in-flight requests.
+	widx := s.reg.WorkloadIndex(t)
 	if lim := s.wlLimit[widx]; lim > 0 {
 		if s.wlInflight[widx].Add(1) > lim {
 			s.wlInflight[widx].Add(-1)
-			s.rejectedQueue.Add(1)
-			s.wlSheds[widx].Add(1)
-			s.badByType[t].Add(1)
-			s.finishLocal(id, t, start, flight.StatusShed)
-			return busyResponse(s.retryAfter()), nil, id
+			return s.shedLocal(a, t), nil
 		}
 		defer s.wlInflight[widx].Add(-1)
 	}
 
-	lr := &liveReq{t: t, group: group, enq: time.Now(), resp: make(chan []byte, 1),
-		cacheable: cacheable, csid: csid, cuid: cuid, cver: cver}
+	start := a.frec.Start
+	lr := &liveReq{t: t, group: s.fab.GroupFor(&a.req, t), enq: time.Now(), resp: make(chan []byte, 1), slot: slot}
 	// The in-flight request owns its param/cookie slices: the arena's
 	// request is recycled as soon as this handler reads again.
-	req.CopyTo(&lr.req)
-	lr.frec.Reset()
-	lr.frec.TraceID = id
-	lr.frec.Type = s.names[t]
-	lr.frec.Start = start
+	a.req.CopyTo(&lr.req)
+	lr.frec = a.frec
 	lr.spans = append(lr.spans, obs.Span{Name: "classify", Start: start, Dur: lr.enq.Sub(start)})
 	select {
 	case s.admitCh <- lr:
 	default:
-		s.rejectedQueue.Add(1)
-		s.wlSheds[widx].Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusShed)
-		return busyResponse(s.retryAfter()), nil, id
+		return s.shedLocal(a, t), nil
 	}
 	deadline := time.NewTimer(s.opts.RequestDeadline)
 	defer deadline.Stop()
 	select {
 	case resp := <-lr.resp:
-		return resp, lr, id
+		a.frec = lr.frec
+		return resp, lr.spans
 	case <-deadline.C:
 		s.deadlineMisses.Add(1)
-		s.badByType[t].Add(1)
-		s.finishLocal(id, t, start, flight.StatusDeadline)
-		return errorResponse(504, "Gateway Timeout"), nil, id
+		s.bad[t].Add(1)
+		a.frec.Status = flight.StatusDeadline
+		return errorResponse(504, "Gateway Timeout"), nil
 	case <-s.doneCh:
 		// The loop exited while we waited. Either our response raced the
 		// exit (delivered, then doneCh closed — the buffered channel
 		// still holds it) or the request was never consumed.
 		select {
 		case resp := <-lr.resp:
-			return resp, lr, id
+			a.frec = lr.frec
+			return resp, lr.spans
 		default:
-			s.rejectedQueue.Add(1)
-			s.wlSheds[widx].Add(1)
-			s.badByType[t].Add(1)
-			s.finishLocal(id, t, start, flight.StatusShed)
-			return busyResponse(s.retryAfter()), nil, id
+			return s.shedLocal(a, t), nil
 		}
 	}
 }
 
-// finishLocal finishes a flight record for a classified request answered
-// without a loop response (cache hit, shed, deadline miss). The
-// liveReq's embedded record may still be owned by the loop on those
-// paths, so a stack-local Record carries the outcome instead.
-func (s *CohortServer) finishLocal(id uint64, t service.TypeID, start time.Time, status flight.Status) {
-	var rec flight.Record
-	rec.Reset()
-	rec.TraceID = id
-	rec.Type = s.names[t]
-	rec.Start = start
-	rec.Latency = time.Since(start)
-	rec.Status = status
-	s.flight.Finish(&rec)
+// shedLocal answers a request the handler refuses before the loop sees
+// it with the 503 backpressure response.
+func (s *CohortServer) shedLocal(a *connArena, t service.TypeID) []byte {
+	s.rejectedQueue.Add(1)
+	s.wlSheds[s.reg.WorkloadIndex(t)].Add(1)
+	s.bad[t].Add(1)
+	a.frec.Status = flight.StatusShed
+	return busyResponse(s.retryAfter())
+}
+
+// sessionsFor returns the session array of the shard group owning req
+// (nil for stateless requests, while the owning node is down, and
+// always on remote transports, where the cache is off).
+func (s *CohortServer) sessionsFor(req *httpx.Request, t service.TypeID) *session.Array {
+	if group := s.fab.GroupFor(req, t); group >= 0 {
+		return s.fab.GroupSessions(group)
+	}
+	return nil
 }
 
 // loop is the dispatch loop: the only goroutine that touches the pool,
@@ -1019,7 +733,7 @@ func (s *CohortServer) admit(lr *liveReq) {
 // response, attributing the shed to its workload's counter.
 func (s *CohortServer) shedReq(lr *liveReq) {
 	s.wlSheds[s.reg.WorkloadIndex(lr.t)].Add(1)
-	s.badByType[lr.t].Add(1)
+	s.bad[lr.t].Add(1)
 	lr.frec.Status = flight.StatusShed
 	lr.resp <- busyResponse(s.retryAfter())
 }
@@ -1053,8 +767,8 @@ func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
 	s.hostFallbacks++
 	s.typeStats(lr.t).hostReqs++
 	s.kernelErrors += uint64(res.KernelErrs)
-	if s.cache != nil && lr.cacheable && res.KernelErrs == 0 {
-		s.cache.Put(lr.t, lr.csid, lr.cuid, lr.cver, &lr.req, res.Resps[0])
+	if res.KernelErrs == 0 {
+		s.cachePut(lr.t, lr.slot, &lr.req, res.Resps[0])
 	}
 	lr.spans = append(lr.spans, obs.Span{Name: "host-execute", Start: res.RenderStart, Dur: res.RenderDur})
 	lr.frec.HostExec = true
@@ -1066,7 +780,7 @@ func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
 	lr.frec.CohortSize = 1
 	if res.KernelErrs > 0 {
 		lr.frec.Status = flight.StatusKernelErr
-		s.badByType[lr.t].Add(1)
+		s.bad[lr.t].Add(1)
 	}
 	id := lr.frec.TraceID // read before the send hands frec to the handler
 	lr.resp <- res.Resps[0]
@@ -1273,8 +987,8 @@ func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 	for i, lr := range reqs {
 		// Conservative insertion gate: a cohort with any kernel error is
 		// not cached (per-request errors are only aggregated).
-		if s.cache != nil && lr.cacheable && res.KernelErrs == 0 {
-			s.cache.Put(lr.t, lr.csid, lr.cuid, lr.cver, &lr.req, res.Resps[i])
+		if res.KernelErrs == 0 {
+			s.cachePut(lr.t, lr.slot, &lr.req, res.Resps[i])
 		}
 		lr.spans = append(lr.spans, obs.Span{Name: "render", Start: res.RenderStart, Dur: res.RenderDur})
 		lr.frec.Device = res.Device
@@ -1283,7 +997,7 @@ func (s *CohortServer) complete(c *cohort.Context[*liveReq], res *cluster.Result
 			// Kernel errors are aggregated per cohort, not attributed per
 			// request, so every rider is flagged (conservative).
 			lr.frec.Status = flight.StatusKernelErr
-			s.badByType[lr.t].Add(1)
+			s.bad[lr.t].Add(1)
 		}
 		id := lr.frec.TraceID // read before the send hands frec to the handler
 		lr.resp <- res.Resps[i]
@@ -1424,30 +1138,13 @@ func (s *CohortServer) snapshot() CohortServerStats {
 	return st
 }
 
-// statsResponse renders /v1/stats. `?schema=4` renders the legacy
-// schema-v4 document for pre-fabric readers: the v5 topology fields
-// (transport, nodes, node/link counters, workload_sheds) are stripped
-// and the version stamp says 4. Everything v4 defined is identical.
-func (s *CohortServer) statsResponse(req *httpx.Request) []byte {
-	st := s.Stats()
-	if req.Param("schema") == "4" {
-		st.SchemaVersion = 4
-		st.Transport = ""
-		st.Nodes = nil
-		st.NodeFailovers, st.NodeRetries = 0, 0
-		st.LinkSheds, st.LostUnits = 0, 0
-		st.WorkloadSheds = nil
-	}
-	return jsonResponse(st)
-}
+func (s *CohortServer) statsDoc() any { return s.Stats() }
 
-// topologyResponse renders /v1/topology: the fabric's node-level view —
+// topology is the /v1/topology document: the fabric's node-level view —
 // transport kind, per-node health, routed groups, dispatch/completion
 // counters, link budgets and saturation sheds, and each node's own
 // cluster snapshot.
-func (s *CohortServer) topologyResponse() []byte {
-	return jsonResponse(s.fab.Snapshot())
-}
+func (s *CohortServer) topology() any { return s.fab.Snapshot() }
 
 // workloadOfDisplay resolves a per-type stats key back to its owning
 // workload's name.
@@ -1467,17 +1164,11 @@ func (s *CohortServer) typeLabel(key string) string {
 	return obs.Label("type", key)
 }
 
-// metricsResponse renders the Prometheus /metrics document. Loop-owned
-// counters come through the Stats() snapshot (taken on the loop
-// goroutine); histograms and the launch profile are atomic/locked and
-// read directly.
-func (s *CohortServer) metricsResponse() []byte {
+// writeMetrics emits the cohort-mode families. Loop-owned counters come
+// through the Stats() snapshot (taken on the loop goroutine); histograms
+// are atomic and read directly.
+func (s *CohortServer) writeMetrics(w *obs.PromWriter) {
 	st := s.Stats()
-	w := obs.NewPromWriter()
-	w.Family("rhythm_build_info", "gauge", "Serving mode of this rhythmd process.")
-	w.Value("rhythm_build_info", obs.Label("mode", "cohort"), 1)
-	w.Family("rhythm_requests_served_total", "counter", "Responses produced, including errors and sheds.")
-	w.Value("rhythm_requests_served_total", "", float64(st.Served))
 	names := sortedTypeKeys(st.Types)
 	w.Family("rhythm_requests_total", "counter", "Requests executed through the cohort pipeline, by workload and type.")
 	for _, name := range names {
@@ -1500,7 +1191,6 @@ func (s *CohortServer) metricsResponse() []byte {
 	w.Value("rhythm_images_total", "", float64(st.Images))
 	w.Family("rhythm_kernel_errors_total", "counter", "Requests whose kernel execution reported an error.")
 	w.Value("rhythm_kernel_errors_total", "", float64(st.KernelErrors))
-	writeLatencyFamilies(w, s.labels, s.latHist)
 	w.Family("rhythm_formation_wait_seconds", "histogram", "Admission-to-launch wait (the Fig. 4 formation delay).")
 	w.Histogram("rhythm_formation_wait_seconds", "", s.formHist.Snapshot(), 1e-9)
 	w.Family("rhythm_cohort_occupancy", "histogram", "Requests per launched cohort.")
@@ -1509,60 +1199,16 @@ func (s *CohortServer) metricsResponse() []byte {
 	writeClusterFamilies(w, st)
 	writeFabricFamilies(w, st)
 	writeAdaptFamilies(w, st)
-	if s.cache != nil {
-		writeRenderCacheFamilies(w, s.cache.Stats())
-	}
-	w.Family("rhythm_traces_recorded_total", "counter", "Request traces captured by the lifecycle recorder.")
-	w.Value("rhythm_traces_recorded_total", "", float64(s.tracer.Total()))
-	writeFlightFamilies(w, s.flight)
-	return bodyResponse(promContentType, w.Bytes())
 }
 
-// traceResponse renders the Chrome trace-event document for
-// /rhythm-trace, optionally blocking for a ?secs=N capture window.
-func (s *CohortServer) traceResponse(req *httpx.Request) []byte {
-	secs, ok := captureSecs(req)
-	if !ok {
-		return errorResponse(400, "Bad Request")
-	}
-	var since time.Time
-	var launches []simt.LaunchRecord
-	wait := secs > 0
-	if wait {
-		// One blocking capture at a time: each holds its connection's
-		// handler goroutine for secs seconds, so unbounded concurrent
-		// captures would pile up goroutines (DESIGN.md §15).
-		if !s.captureBusy.CompareAndSwap(false, true) {
-			return tooManyCapturesResponse()
-		}
-		defer s.captureBusy.Store(false)
-		since = time.Now()
-		// Launch sequence numbers are per device, so the capture floor
-		// is too: each node cluster filters its rings before the fabric
-		// merges them (empty with remote workers — their rings live in
-		// the worker process).
-		floors := s.fab.LaunchFloors()
-		time.Sleep(time.Duration(secs) * time.Second)
-		launches = s.fab.ProfilesSince(floors)
-	} else {
-		launches = s.fab.Profiles()
-	}
-	body := traceDocument(s.tracer, since, wait, launches, 0)
-	return bodyResponse("application/json", body)
-}
+// launchFloors and launchesSince feed /v1/trace's device track. Launch
+// sequence numbers are per device, so the capture floor is too: each
+// node cluster filters its rings before the fabric merges them (empty
+// with remote workers — their rings live in the worker process).
+func (s *CohortServer) launchFloors() [][]uint64 { return s.fab.LaunchFloors() }
 
-// jsonResponse renders v as a keep-alive application/json response.
-func jsonResponse(v any) []byte {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return errorResponse(500, "Internal Server Error")
-	}
-	body = append(body, '\n')
-	buf := make([]byte, len(body)+256)
-	w := httpx.NewResponseWriter(buf)
-	w.StartOK("application/json", "")
-	w.Write(body)
-	return w.Finish()
+func (s *CohortServer) launchesSince(floors [][]uint64) []simt.LaunchRecord {
+	return s.fab.ProfilesSince(floors)
 }
 
 // busyResponse is the backpressure answer: 503 with a Retry-After hint.

@@ -14,11 +14,13 @@
 //
 // The package exposes three ways in:
 //
-//   - Server: the Rhythm pipeline (Reader → Parser → Dispatch → Process
-//     stages → Response) on a simulated device, serving the SPECWeb2009
-//     Banking workload and reporting throughput/latency/energy.
-//   - TCPServer: the same Banking services behind a real TCP listener
-//     (host execution path), for end-to-end demos.
+//   - SimServer: the Rhythm pipeline (Reader → Parser → Dispatch →
+//     Process stages → Response) on a simulated device, serving the
+//     SPECWeb2009 Banking workload and reporting throughput/latency/energy.
+//   - New: a live Server behind a real TCP listener. One frontend does
+//     the network I/O, parsing and control plane; an executor runs the
+//     requests, either on the host (TCPServer) or batched into cohorts
+//     on modeled devices (CohortServer).
 //   - The cmd/rhythm-bench binary and the benchmarks in bench_test.go,
 //     which regenerate every table and figure of the paper's evaluation.
 package rhythm

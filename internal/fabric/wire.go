@@ -64,6 +64,12 @@ const maxFrameBytes = 256 << 20
 
 var errFrameTooBig = errors.New("fabric: frame exceeds size bound")
 
+// frameChunk is the most readFrame allocates ahead of the bytes that
+// have actually arrived: a larger body grows by doubling as it is read,
+// so a forged length prefix cannot make the reader allocate more than
+// twice what the peer really sent.
+const frameChunk = 64 << 10
+
 // writeFrame appends a framed payload to buf: length prefix, kind,
 // payload. Returns the extended buffer.
 func appendFrame(buf []byte, kind byte, payload []byte) []byte {
@@ -80,15 +86,26 @@ func readFrame(r io.Reader) (kind byte, payload []byte, wireBytes int, err error
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, 0, errFrameTooBig
 	}
-	body := make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, nil, 0, err
+	body := make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the prefix promised more
+		}
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		if got == n {
+			break
+		}
+		body = append(body, make([]byte, min(n, 2*len(body))-len(body))...)
 	}
-	return body[0], body[1:], int(4 + n), nil
+	return body[0], body[1:], 4 + n, nil
 }
 
 // --- primitive append helpers ---
@@ -162,6 +179,19 @@ func (r *wireReader) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
+
+// count checks an element count against the bytes left in the payload:
+// each element takes at least minBytes on the wire, so a count the rest
+// of the payload cannot hold is a truncated or forged frame. It fails
+// the reader (returning 0) before the decoder allocates for the count.
+func (r *wireReader) count(n, minBytes int) int {
+	if r.err != nil || n > (len(r.b)-r.off)/minBytes {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
 func (r *wireReader) i64() int64   { return int64(r.u64()) }
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *wireReader) str() string {
@@ -218,7 +248,7 @@ func decodeHello(p []byte) (hello, error) {
 	h.Devices = int(r.u32())
 	h.Groups = int(r.u32())
 	h.NumTypes = int(r.u32())
-	n := int(r.u16())
+	n := r.count(int(r.u16()), minStrBytes)
 	for i := 0; i < n && r.err == nil; i++ {
 		h.Workloads = append(h.Workloads, r.str())
 	}
@@ -239,6 +269,18 @@ type dispatchMsg struct {
 	Host  bool
 	Reqs  []httpx.Request
 }
+
+// Minimum encoded sizes, for wireReader.count: a string or byte slice
+// is at least its u32 length; a request is its method, the length
+// prefixes of path and body, the param and cookie counts, and the
+// content length and scan cost; a param or cookie is two strings; a
+// stage is its duration plus the fixed launch-stats fields.
+const (
+	minStrBytes     = 4
+	minRequestBytes = 1 + 4 + 2 + 2 + 4 + 4 + 4
+	minParamBytes   = 2 * minStrBytes
+	minStageBytes   = 8 + minStrBytes + 4 + 4 + 7*8 + 8 + 2*8
+)
 
 func appendRequest(b []byte, q *httpx.Request) []byte {
 	b = append(b, byte(q.Method))
@@ -262,11 +304,11 @@ func appendRequest(b []byte, q *httpx.Request) []byte {
 func readRequest(r *wireReader, q *httpx.Request) {
 	q.Method = httpx.Method(r.u8())
 	q.Path = r.str()
-	np := int(r.u16())
+	np := r.count(int(r.u16()), minParamBytes)
 	for i := 0; i < np && r.err == nil; i++ {
 		q.Params = append(q.Params, httpx.Param{Key: r.str(), Value: r.str()})
 	}
-	nc := int(r.u16())
+	nc := r.count(int(r.u16()), minParamBytes)
 	for i := 0; i < nc && r.err == nil; i++ {
 		q.Cookies = append(q.Cookies, httpx.Param{Key: r.str(), Value: r.str()})
 	}
@@ -299,8 +341,8 @@ func decodeDispatch(p []byte) (dispatchMsg, error) {
 	m.Type = r.u16()
 	m.Group = int32(r.u32())
 	m.Host = r.u8() == 1
-	n := int(r.u32())
-	if r.err == nil && n >= 0 {
+	n := r.count(int(r.u32()), minRequestBytes)
+	if r.err == nil {
 		m.Reqs = make([]httpx.Request, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			readRequest(&r, &m.Reqs[i])
@@ -408,7 +450,7 @@ func decodeResult(p []byte) (resultMsg, error) {
 	m.KernelErrs = int32(r.u32())
 	m.DeviceTime = r.i64()
 	m.RenderDurNs = r.i64()
-	ns := int(r.u16())
+	ns := r.count(int(r.u16()), minStageBytes)
 	if r.err == nil {
 		m.StageDurs = make([]int64, ns)
 		m.Stages = make([]simt.LaunchStats, ns)
@@ -417,7 +459,7 @@ func decodeResult(p []byte) (resultMsg, error) {
 			readLaunchStats(&r, &m.Stages[i])
 		}
 	}
-	nr := int(r.u32())
+	nr := r.count(int(r.u32()), minStrBytes)
 	for i := 0; i < nr && r.err == nil; i++ {
 		m.Resps = append(m.Resps, r.bytes())
 	}

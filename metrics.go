@@ -2,6 +2,7 @@ package rhythm
 
 import (
 	"bytes"
+	"encoding/json"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -32,8 +33,7 @@ import (
 // Version 5 adds the device-fabric topology (DESIGN.md §17): a
 // "transport" kind, per-node "nodes" rows, node failover / link
 // saturation counters, per-workload "workload_sheds", and the
-// /v1/topology endpoint. `?schema=4` on /v1/stats renders the legacy
-// document for version-4 readers.
+// /v1/topology endpoint.
 const StatsSchemaVersion = 5
 
 // DefaultRegistry builds the process-default workload registry: banking
@@ -41,12 +41,17 @@ const StatsSchemaVersion = 5
 // Servers built without an explicit registry use this one.
 func DefaultRegistry() *service.Registry { return workloads.Default() }
 
-// The versioned control-plane paths. The unversioned legacy paths
-// (/rhythm-stats, /metrics, /rhythm-trace) remain as aliases.
+// The control-plane paths both serving modes answer (DESIGN.md §10).
 const (
-	StatsPathV1   = "/v1/stats"
+	// StatsPathV1 serves the mode's JSON stats document.
+	StatsPathV1 = "/v1/stats"
+	// MetricsPathV1 serves the Prometheus text-format document.
 	MetricsPathV1 = "/v1/metrics"
-	TracePathV1   = "/v1/trace"
+	// TracePathV1 is the Chrome trace-event capture endpoint. A bare GET
+	// returns the buffered request traces; ?secs=N (1-60) records for N
+	// seconds and returns only that window. The document loads directly
+	// in Perfetto / chrome://tracing.
+	TracePathV1 = "/v1/trace"
 	// FlightPathV1 exports the flight recorder's anomaly ring
 	// (DESIGN.md §15): JSON by default, ?format=chrome for a
 	// Perfetto-loadable trace of the anomalies, ?n=K for the last K.
@@ -58,16 +63,6 @@ const (
 	// counters, link budgets and saturation sheds (DESIGN.md §17).
 	TopologyPathV1 = "/v1/topology"
 )
-
-// MetricsPath is the Prometheus text-format endpoint both TCP servers
-// expose (DESIGN.md §10). Alias of MetricsPathV1.
-const MetricsPath = "/metrics"
-
-// TracePath is the Chrome trace-event capture endpoint both TCP servers
-// expose. A bare GET returns the buffered request traces; ?secs=N (1-60)
-// records for N seconds and returns only that window. The document loads
-// directly in Perfetto / chrome://tracing.
-const TracePath = "/rhythm-trace"
 
 // maxTraceCaptureSecs bounds the blocking capture window.
 const maxTraceCaptureSecs = 60
@@ -170,19 +165,25 @@ func healthResponse(eng *health.Engine, rec *flight.Recorder) []byte {
 // counts: good = latency observations at or under the SLO (whole-bucket
 // resolution, conservative), total = all observations plus the bad
 // events that never reach the latency histograms (sheds, deadline
-// misses, kernel errors). extraBad may be nil (host mode).
+// misses, kernel errors).
 func sloCounts(names []string, hists []*stats.Histogram, sloNs float64, extraBad []atomic.Uint64) map[string]health.Counts {
 	out := make(map[string]health.Counts, len(hists))
 	for i, h := range hists {
-		c := health.Counts{Good: h.CountAtOrBelow(sloNs), Total: h.Count()}
-		if extraBad != nil {
-			c.Total += extraBad[i].Load()
-		}
+		c := health.Counts{Good: h.CountAtOrBelow(sloNs), Total: h.Count() + extraBad[i].Load()}
 		if c.Total > 0 {
 			out[names[i]] = c
 		}
 	}
 	return out
+}
+
+// jsonResponse renders v as a keep-alive application/json response.
+func jsonResponse(v any) []byte {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return errorResponse(500, "Internal Server Error")
+	}
+	return bodyResponse("application/json", append(body, '\n'))
 }
 
 // bodyResponse wraps a prebuilt body in a 200 keep-alive response.
@@ -211,32 +212,6 @@ func captureSecs(req *httpx.Request) (secs int, ok bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// traceDocument snapshots tracer (and, when a device is present, its
-// launch profile) into Chrome trace-event JSON. When wait is set the
-// request track is filtered to traces starting at or after since, and
-// launchFloor filters the device track to launches recorded after the
-// capture started.
-func traceDocument(tracer *obs.Recorder, since time.Time, wait bool, launches []simt.LaunchRecord, launchFloor uint64) []byte {
-	var traces []obs.RequestTrace
-	if tracer != nil {
-		if wait {
-			traces = tracer.Since(since)
-		} else {
-			traces = tracer.Snapshot()
-		}
-	}
-	if launchFloor > 0 {
-		kept := launches[:0]
-		for _, lr := range launches {
-			if lr.Seq > launchFloor {
-				kept = append(kept, lr)
-			}
-		}
-		launches = kept
-	}
-	return obs.ChromeTrace(traces, launches)
 }
 
 // stageArgs is the launch-record linkage a stage span carries: enough to

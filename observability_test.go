@@ -49,7 +49,7 @@ func scrape(t *testing.T, addr net.Addr, path string) string {
 func checkPromDocument(t *testing.T, resp string, want []string) {
 	t.Helper()
 	if !strings.HasPrefix(resp, "HTTP/1.1 200 ") {
-		t.Fatalf("/metrics answered %.100q, want 200", resp)
+		t.Fatalf("/v1/metrics answered %.100q, want 200", resp)
 	}
 	_, body, ok := strings.Cut(resp, "\r\n\r\n")
 	if !ok {
@@ -57,7 +57,7 @@ func checkPromDocument(t *testing.T, resp string, want []string) {
 	}
 	for _, fam := range want {
 		if !strings.Contains(body, "# TYPE "+fam+" ") {
-			t.Fatalf("/metrics missing family %s:\n%s", fam, body)
+			t.Fatalf("/v1/metrics missing family %s:\n%s", fam, body)
 		}
 	}
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
@@ -70,7 +70,7 @@ func checkPromDocument(t *testing.T, resp string, want []string) {
 	}
 }
 
-// TestCohortServerMetricsEndpoint: after live traffic, /metrics exposes
+// TestCohortServerMetricsEndpoint: after live traffic, /v1/metrics exposes
 // the per-type latency histograms and the device's divergence/coalescing
 // counters in parseable Prometheus text format.
 func TestCohortServerMetricsEndpoint(t *testing.T) {
@@ -81,7 +81,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 	uid, pw := srv.Seed(4242)
 	loginAndBrowse(t, srv.Addr(), uid, pw)
 
-	resp := scrape(t, srv.Addr(), MetricsPath)
+	resp := scrape(t, srv.Addr(), MetricsPathV1)
 	checkPromDocument(t, resp, []string{
 		"rhythm_build_info",
 		"rhythm_requests_served_total",
@@ -103,7 +103,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 		`rhythm_cohorts_total{workload="banking",type="login",result="timeout"} 1`,
 	} {
 		if !strings.Contains(resp, want+"\n") {
-			t.Fatalf("/metrics missing sample %q:\n%s", want, resp)
+			t.Fatalf("/v1/metrics missing sample %q:\n%s", want, resp)
 		}
 	}
 	// The device actually ran kernels for this traffic.
@@ -112,7 +112,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestCohortServerTraceEndpoint: /rhythm-trace returns a valid Chrome
+// TestCohortServerTraceEndpoint: /v1/trace returns a valid Chrome
 // trace-event document whose request track carries the full lifecycle
 // (classify → admit-queue → formation-wait → stage → render → write) and
 // whose device track carries the linked kernel launches.
@@ -124,9 +124,9 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 	uid, pw := srv.Seed(777)
 	loginAndBrowse(t, srv.Addr(), uid, pw)
 
-	resp := scrape(t, srv.Addr(), TracePath)
+	resp := scrape(t, srv.Addr(), TracePathV1)
 	if !strings.HasPrefix(resp, "HTTP/1.1 200 ") {
-		t.Fatalf("/rhythm-trace answered %.100q, want 200", resp)
+		t.Fatalf("/v1/trace answered %.100q, want 200", resp)
 	}
 	_, body, _ := strings.Cut(resp, "\r\n\r\n")
 	var doc struct {
@@ -171,7 +171,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 	}
 
 	// Malformed capture windows answer 400.
-	if bad := scrape(t, srv.Addr(), TracePath+"?secs=oops"); !strings.HasPrefix(bad, "HTTP/1.1 400 ") {
+	if bad := scrape(t, srv.Addr(), TracePathV1+"?secs=oops"); !strings.HasPrefix(bad, "HTTP/1.1 400 ") {
 		t.Fatalf("bad secs answered %.100q, want 400", bad)
 	}
 
@@ -184,7 +184,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePath)
+		fmt.Fprintf(conn, "GET %s?secs=1 HTTP/1.1\r\nHost: t\r\n\r\n", TracePathV1)
 		done <- string(readRawResponse(t, bufio.NewReader(conn)))
 	}()
 	time.Sleep(200 * time.Millisecond)
@@ -199,7 +199,7 @@ func TestCohortServerTraceEndpoint(t *testing.T) {
 }
 
 // TestHostServerMetricsAndTrace: the host-mode TCPServer speaks the same
-// /metrics and /rhythm-trace surface (minus the device track).
+// /v1/metrics and /v1/trace surface (minus the device track).
 func TestHostServerMetricsAndTrace(t *testing.T) {
 	host := NewTCPServer(4096)
 	if err := host.Listen("127.0.0.1:0"); err != nil {
@@ -210,7 +210,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 	uid, pw := host.Seed(31337)
 	loginAndBrowse(t, host.Addr(), uid, pw)
 
-	resp := scrape(t, host.Addr(), MetricsPath)
+	resp := scrape(t, host.Addr(), MetricsPathV1)
 	checkPromDocument(t, resp, []string{
 		"rhythm_build_info",
 		"rhythm_requests_served_total",
@@ -218,10 +218,10 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 		"rhythm_request_latency_seconds",
 	})
 	if !strings.Contains(resp, `rhythm_build_info{mode="host"} 1`+"\n") {
-		t.Fatalf("host /metrics missing mode label:\n%s", resp)
+		t.Fatalf("host /v1/metrics missing mode label:\n%s", resp)
 	}
 
-	tresp := scrape(t, host.Addr(), TracePath)
+	tresp := scrape(t, host.Addr(), TracePathV1)
 	_, body, _ := strings.Cut(tresp, "\r\n\r\n")
 	var doc struct {
 		TraceEvents []struct {
@@ -244,7 +244,7 @@ func TestHostServerMetricsAndTrace(t *testing.T) {
 
 // TestObservabilityConcurrentScrape hammers every read endpoint while
 // live traffic flows, in both modes — the -race CI leg turns any
-// snapshot race in /rhythm-stats, /metrics, or /rhythm-trace into a
+// snapshot race in /v1/stats, /v1/metrics, or /v1/trace into a
 // failure.
 func TestObservabilityConcurrentScrape(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
@@ -276,7 +276,7 @@ func TestObservabilityConcurrentScrape(t *testing.T) {
 				}
 			}(addr, uids[i], pws[i])
 		}
-		for _, path := range []string{StatsPath, MetricsPath, TracePath, FlightPathV1, HealthPathV1} {
+		for _, path := range []string{StatsPathV1, MetricsPathV1, TracePathV1, FlightPathV1, HealthPathV1} {
 			wg.Add(1)
 			go func(addr net.Addr, path string) {
 				defer wg.Done()

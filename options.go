@@ -15,12 +15,14 @@ import (
 	"rhythm/internal/workloads"
 )
 
-// Server is a live Rhythm TCP server, independent of execution mode.
-// New returns one bound to its address, so Addr is valid before Serve.
-// Serve blocks accepting connections; Drain stops the listener and (in
-// cohort mode) flushes partial cohorts and waits for in-flight work up
-// to the context deadline; Snapshot returns the mode-tagged stats the
-// /v1/stats endpoint serves.
+// Server is a live Rhythm TCP server, independent of execution mode:
+// *TCPServer and *CohortServer, the shared frontend in front of the host
+// or the cohort executor. New returns one bound to its address, so Addr
+// is valid before Serve. Serve blocks accepting connections; Drain
+// stops the listener, lets the executor finish admitted work (in cohort
+// mode: flush partial cohorts and wait for in-flight launches), and
+// closes connections, bounded by the context deadline; Snapshot returns
+// the mode-tagged stats the /v1/stats endpoint serves.
 type Server interface {
 	// Addr reports the bound listen address.
 	Addr() net.Addr
@@ -285,22 +287,17 @@ func New(addr string, opts ...Option) (Server, error) {
 		if cfg.cohort.RenderCache > 0 {
 			srv.EnableRenderCache(cfg.cohort.RenderCache)
 		}
-		if cfg.cohort.FlightRing != 0 || cfg.cohort.FlightSlow != 0 {
-			srv.ConfigureFlight(flight.Config{Ring: cfg.cohort.FlightRing, Slow: cfg.cohort.FlightSlow})
-		}
-		if cfg.cohort.HealthObjective != 0 || cfg.cohort.HealthFastWindow != 0 ||
-			cfg.cohort.HealthSlowWindow != 0 || cfg.cohort.SLO != 0 {
-			srv.ConfigureHealth(health.Config{
-				Objective:  cfg.cohort.HealthObjective,
-				SLO:        cfg.cohort.SLO,
-				FastWindow: cfg.cohort.HealthFastWindow,
-				SlowWindow: cfg.cohort.HealthSlowWindow,
-			})
-		}
+		srv.ConfigureFlight(flight.Config{Ring: cfg.cohort.FlightRing, Slow: cfg.cohort.FlightSlow})
+		srv.ConfigureHealth(health.Config{
+			Objective:  cfg.cohort.HealthObjective,
+			SLO:        cfg.cohort.SLO,
+			FastWindow: cfg.cohort.HealthFastWindow,
+			SlowWindow: cfg.cohort.HealthSlowWindow,
+		})
 		if err := srv.Listen(addr); err != nil {
 			return nil, err
 		}
-		return hostServer{srv}, nil
+		return srv, nil
 	}
 	switch cfg.transport {
 	case "", "loopback", "tcp":
@@ -321,25 +318,5 @@ func New(addr string, opts ...Option) (Server, error) {
 		srv.Shutdown(context.Background())
 		return nil, err
 	}
-	return cohortServer{srv}, nil
-}
-
-// hostServer adapts TCPServer to the Server interface.
-type hostServer struct{ *TCPServer }
-
-func (h hostServer) Drain(ctx context.Context) error { return h.Close() }
-
-func (h hostServer) Snapshot() ServerStats {
-	doc := h.statsDocument()
-	return ServerStats{Mode: "host", Host: &doc}
-}
-
-// cohortServer adapts CohortServer to the Server interface.
-type cohortServer struct{ *CohortServer }
-
-func (c cohortServer) Drain(ctx context.Context) error { return c.Shutdown(ctx) }
-
-func (c cohortServer) Snapshot() ServerStats {
-	st := c.Stats()
-	return ServerStats{Mode: "cohort", Cohort: &st}
+	return srv, nil
 }

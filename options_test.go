@@ -39,31 +39,24 @@ func get(t *testing.T, srv Server, path string) []byte {
 }
 
 // TestNewHostServer covers the WithHostExecution path: the unified
-// constructor, the Snapshot wrapper, and the versioned control plane
-// with its legacy alias.
+// constructor, Snapshot, and the versioned control plane.
 func TestNewHostServer(t *testing.T) {
 	srv := startNew(t, WithHostExecution())
 	if snap := srv.Snapshot(); snap.Mode != "host" || snap.Host == nil || snap.Cohort != nil {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
-	for _, path := range []string{StatsPathV1, StatsPath} {
-		body := string(get(t, srv, path))
-		if !strings.Contains(body, `"schema_version": 5`) {
-			t.Fatalf("%s missing schema_version 5:\n%s", path, body)
-		}
-		if !strings.Contains(body, `"mode": "host"`) {
-			t.Fatalf("%s missing host mode:\n%s", path, body)
-		}
+	body := string(get(t, srv, StatsPathV1))
+	if !strings.Contains(body, `"schema_version": 5`) {
+		t.Fatalf("%s missing schema_version 5:\n%s", StatsPathV1, body)
 	}
-	for _, path := range []string{MetricsPathV1, MetricsPath} {
-		if body := string(get(t, srv, path)); !strings.Contains(body, "rhythm_build_info") {
-			t.Fatalf("%s not a metrics document:\n%.300s", path, body)
-		}
+	if !strings.Contains(body, `"mode": "host"`) {
+		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
 	}
-	for _, path := range []string{TracePathV1, TracePath} {
-		if body := string(get(t, srv, path)); !strings.Contains(body, "traceEvents") {
-			t.Fatalf("%s not a trace document:\n%.300s", path, body)
-		}
+	if body := string(get(t, srv, MetricsPathV1)); !strings.Contains(body, "rhythm_build_info") {
+		t.Fatalf("%s not a metrics document:\n%.300s", MetricsPathV1, body)
+	}
+	if body := string(get(t, srv, TracePathV1)); !strings.Contains(body, "traceEvents") {
+		t.Fatalf("%s not a trace document:\n%.300s", TracePathV1, body)
 	}
 	if snap := srv.Snapshot(); snap.Served() == 0 {
 		t.Fatal("snapshot counted no served requests")
@@ -72,8 +65,8 @@ func TestNewHostServer(t *testing.T) {
 
 // TestNewCohortServer covers the default (cohort) path with the
 // adaptive controller enabled: options plumb through to CohortOptions,
-// Snapshot carries the cohort stats with the adapt section, and both
-// stats paths answer with the versioned schema.
+// Snapshot carries the cohort stats with the adapt section, and
+// /v1/stats answers with the versioned schema.
 func TestNewCohortServer(t *testing.T) {
 	srv := startNew(t,
 		WithDevices(1),
@@ -92,28 +85,15 @@ func TestNewCohortServer(t *testing.T) {
 	if snap.Cohort.Adapt == nil {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
-	for _, path := range []string{StatsPathV1, StatsPath} {
-		body := string(get(t, srv, path))
-		if !strings.Contains(body, `"schema_version": 5`) || !strings.Contains(body, `"mode": "cohort"`) {
-			t.Fatalf("%s wrong stats document:\n%.300s", path, body)
-		}
-		if !strings.Contains(body, `"adapt"`) {
-			t.Fatalf("%s missing adapt section:\n%.300s", path, body)
-		}
-		if !strings.Contains(body, `"transport": "loopback"`) || !strings.Contains(body, `"nodes"`) {
-			t.Fatalf("%s missing fabric topology section:\n%.300s", path, body)
-		}
+	body := string(get(t, srv, StatsPathV1))
+	if !strings.Contains(body, `"schema_version": 5`) || !strings.Contains(body, `"mode": "cohort"`) {
+		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
-	// The ?schema=4 alias renders the pre-fabric document for v4
-	// readers: version stamp 4 and no topology fields.
-	legacy := string(get(t, srv, StatsPathV1+"?schema=4"))
-	if !strings.Contains(legacy, `"schema_version": 4`) {
-		t.Fatalf("?schema=4 missing legacy version stamp:\n%.300s", legacy)
+	if !strings.Contains(body, `"adapt"`) {
+		t.Fatalf("%s missing adapt section:\n%.300s", StatsPathV1, body)
 	}
-	for _, banned := range []string{`"transport"`, `"nodes"`, `"workload_sheds"`} {
-		if strings.Contains(legacy, banned) {
-			t.Fatalf("?schema=4 leaked v5 field %s:\n%.300s", banned, legacy)
-		}
+	if !strings.Contains(body, `"transport": "loopback"`) || !strings.Contains(body, `"nodes"`) {
+		t.Fatalf("%s missing fabric topology section:\n%.300s", StatsPathV1, body)
 	}
 	// /v1/topology is the node-level view.
 	topo := string(get(t, srv, TopologyPathV1))
@@ -122,15 +102,15 @@ func TestNewCohortServer(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims pins the pre-v2 construction surface: NewServer
-// still builds the offline simulator (now SimServer) and serves a
-// saturation run, and the concrete NewTCPServer/NewCohortServer
-// constructors still exist for callers that bypass rhythm.New.
+// TestDeprecatedShims pins the construction surface outside rhythm.New:
+// NewSimServer builds the offline simulator and serves a saturation
+// run, and the concrete NewTCPServer/NewCohortServer constructors still
+// exist for callers that bypass rhythm.New.
 func TestDeprecatedShims(t *testing.T) {
-	var s *SimServer = NewServer(Options{CohortSize: 64, MaxCohorts: 2, Sessions: 256})
+	s := NewSimServer(Options{CohortSize: 64, MaxCohorts: 2, Sessions: 256})
 	st := s.Serve(s.GenerateMixed(256))
 	if st.Completed != 256 {
-		t.Fatalf("shimmed NewServer run completed %d of 256: %+v", st.Completed, st)
+		t.Fatalf("NewSimServer run completed %d of 256: %+v", st.Completed, st)
 	}
 	// Concrete constructors remain the escape hatch under rhythm.New.
 	if srv := NewTCPServer(4096); srv == nil {
