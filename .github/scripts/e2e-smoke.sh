@@ -307,13 +307,12 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
     exit 1
 }
 
-# Mixed-workload stats: the v4 schema namespaces per-type sections by
+# Mixed-workload stats: the schema namespaces per-type sections by
 # workload — the document lists the registered workloads and qualifies
-# every non-banking type label ("ecom/browse"), with banking's bare
-# labels kept as legacy aliases.
+# every type label ("banking/login", "ecom/browse").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 5' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
-    '"ecom/cart_add"' '"telemetry/poll"' '"login"'; do
+for needle in '"schema_version": 6' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+    '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
         echo "$MIXSTATS" | head -40 >&2
@@ -445,9 +444,9 @@ check_metrics cachec "$CACHEC_ADDR" \
 check_metrics mix "$MIX_ADDR" \
     rhythm_build_info rhythm_requests_served_total rhythm_requests_total \
     rhythm_cohorts_total rhythm_cluster_device_up
-# Every per-type family must carry the workload label, qualified
-# display names for the non-banking workloads included.
-for needle in 'rhythm_requests_total{workload="banking",type="login"}' \
+# Every per-type family must carry the workload label and the
+# workload-qualified display name.
+for needle in 'rhythm_requests_total{workload="banking",type="banking/login"}' \
     'rhythm_requests_total{workload="ecom",type="ecom/' \
     'rhythm_requests_total{workload="telemetry",type="telemetry/'; do
     grep -q "$needle" "$WORK/mix.metrics" || {
@@ -456,7 +455,7 @@ for needle in 'rhythm_requests_total{workload="banking",type="login"}' \
         exit 1
     }
 done
-grep -q 'rhythm_request_latency_seconds_bucket{workload="banking",type="login",le="' "$WORK/cohort.metrics" || {
+grep -q 'rhythm_request_latency_seconds_bucket{workload="banking",type="banking/login",le="' "$WORK/cohort.metrics" || {
     echo "e2e-smoke: cohort /v1/metrics missing per-type latency buckets" >&2
     exit 1
 }
@@ -489,7 +488,7 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 5' || {
+echo "$ASTATS" | grep -q '"schema_version": 6' || {
     echo "e2e-smoke: /v1/stats missing schema_version 5: $ASTATS" >&2
     exit 1
 }
@@ -539,7 +538,7 @@ done
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 5' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 6' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"rhythm/internal/banking"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 )
 
 // TestAllocBudgets enforces the committed allocation budgets of the
@@ -103,13 +103,13 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	bad := false
 
 	// classify: parse into the arena request and route to a type — the
-	// prefix every banking request pays.
+	// prefix every request pays.
 	m["classify"] = testing.AllocsPerRun(500, func() {
 		if err := httpx.ParseInto(summary, &a.req); err != nil {
 			bad = true
 			return
 		}
-		if _, ok := banking.ByPath(a.req.Path); !ok {
+		if _, ok := f.reg.Classify(&a.req); !ok {
 			bad = true
 		}
 	})
@@ -119,12 +119,17 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	if err := httpx.ParseInto(summary, &a.req); err != nil {
 		t.Fatal(err)
 	}
-	ctx := a.scratch.Execute(banking.ServiceFor(banking.AccountSummary), &a.req, s.sessions, s.db, true)
+	st, ok := f.reg.Classify(&a.req)
+	if !ok {
+		t.Fatal("account_summary did not classify")
+	}
+	page, wi := pageWorkloadOf(t, f.reg, st)
+	ctx := a.scratch.Execute(page, f.reg.Spec(st).Local, &a.req, s.sessions, s.bes[wi], true)
 	if ctx.Err != "" {
 		t.Fatalf("execute failed: %s", ctx.Err)
 	}
 	m["render"] = testing.AllocsPerRun(500, func() {
-		banking.Render(ctx, a.out[:ctx.Spec.BufferBytes()])
+		page.Render(ctx, a.out[:ctx.Def.BufferBytes])
 	})
 
 	// cache_hit: the full respond path when the page is cached — the
@@ -151,10 +156,6 @@ func measureAllocs(t *testing.T) map[string]float64 {
 	// recorder's always-on per-request cost (budget: <= 1 alloc/request;
 	// measured 0 — ring slots are preallocated and the splice reuses the
 	// arena's write buffer).
-	st, ok := f.reg.Classify(&a.req)
-	if !ok {
-		t.Fatal("account_summary did not classify")
-	}
 	flightStart := time.Now()
 	m["flight_append"] = testing.AllocsPerRun(500, func() {
 		id := f.arm(a, st, flightStart)
@@ -174,6 +175,60 @@ func measureAllocs(t *testing.T) map[string]float64 {
 		t.Fatal("a measured path failed while counting allocations")
 	}
 	return m
+}
+
+// pageWorkloadOf returns the page workload serving t and its index.
+func pageWorkloadOf(t *testing.T, reg *service.Registry, st service.TypeID) (*service.PageWorkload, int) {
+	t.Helper()
+	wi := reg.WorkloadIndex(st)
+	pw, ok := reg.Workloads()[wi].(*service.PageWorkload)
+	if !ok {
+		t.Fatalf("%s is not a page workload", reg.Spec(st).Display)
+	}
+	return pw, wi
+}
+
+// TestHostExecutorAllocsBelowExecuteHost pins the host executor's
+// zero-copy arena path for the registry's non-banking page workloads:
+// steady-state, executing an ecom and a telemetry request through the
+// connection arena (scratch ctx and builder, reused render buffer) must
+// allocate strictly less than the registry's scalar ExecuteHost, which
+// builds a fresh ctx, page builder and response per request.
+func TestHostExecutorAllocsBelowExecuteHost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	s := NewTCPServer(4096)
+	a := newConnArena(s.arenaOut)
+	for _, tc := range []struct{ label, raw string }{
+		{"ecom/product_detail", "GET /product.php?id=4242 HTTP/1.1\r\nHost: t\r\n\r\n"},
+		{"telemetry/status", "GET /t/status?dev=17 HTTP/1.1\r\nHost: t\r\n\r\n"},
+	} {
+		if err := httpx.ParseInto([]byte(tc.raw), &a.req); err != nil {
+			t.Fatal(err)
+		}
+		st, ok := s.reg.Classify(&a.req)
+		if !ok || s.reg.Spec(st).Display != tc.label {
+			t.Fatalf("%q classified as %v (%v), want %s", tc.raw, st, ok, tc.label)
+		}
+		var failed bool
+		arena := testing.AllocsPerRun(200, func() {
+			resp, _ := s.execute(a, st, cacheSlot{})
+			failed = failed || len(resp) == 0
+		})
+		scalar := testing.AllocsPerRun(200, func() {
+			resp, bad := s.reg.ExecuteHost(st, &a.req, s.sessions, s.bes)
+			failed = failed || bad || len(resp) == 0
+		})
+		if failed {
+			t.Fatalf("%s: execution failed while counting allocations", tc.label)
+		}
+		if arena >= scalar {
+			t.Errorf("%s: host executor %.1f allocs/request, ExecuteHost %.1f — the arena path must allocate less", tc.label, arena, scalar)
+		} else {
+			t.Logf("%s: host executor %.1f allocs/request, ExecuteHost %.1f", tc.label, arena, scalar)
+		}
+	}
 }
 
 // setCookieValue extracts the Set-Cookie value from a raw HTTP response.

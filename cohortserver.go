@@ -268,8 +268,8 @@ type CohortServerStats struct {
 	SchemaVersion int    `json:"schema_version"`
 	Mode          string `json:"mode"`
 	// Workloads lists the registered workload names in registration
-	// order; Types keys are workload-qualified display labels (banking's
-	// stay bare, the version-3 legacy aliases).
+	// order; Types keys are workload-qualified display labels
+	// ("banking/login", "ecom/browse").
 	Workloads       []string `json:"workloads"`
 	Served          uint64   `json:"served"`
 	KernelErrors    uint64   `json:"kernel_errors"`
@@ -1146,8 +1146,8 @@ func (s *CohortServer) statsDoc() any { return s.Stats() }
 // cluster snapshot.
 func (s *CohortServer) topology() any { return s.fab.Snapshot() }
 
-// workloadOfDisplay resolves a per-type stats key back to its owning
-// workload's name.
+// workloadOfDisplay resolves a per-type stats key (a workload-qualified
+// display label) back to its owning workload's name.
 func (s *CohortServer) workloadOfDisplay(key string) string {
 	if t, ok := s.reg.ByDisplay(key); ok {
 		return s.reg.Spec(t).Workload

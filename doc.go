@@ -20,7 +20,11 @@
 //   - New: a live Server behind a real TCP listener. One frontend does
 //     the network I/O, parsing and control plane; an executor runs the
 //     requests, either on the host (TCPServer) or batched into cohorts
-//     on modeled devices (CohortServer).
+//     on modeled devices (CohortServer). Every registered workload —
+//     banking, e-commerce, telemetry, or your own — is a
+//     service.PageWorkload: one page-kernel library supplies the host
+//     path and the stage kernels, so both executors return the same
+//     bytes.
 //   - The cmd/rhythm-bench binary and the benchmarks in bench_test.go,
 //     which regenerate every table and figure of the paper's evaluation.
 package rhythm

@@ -36,13 +36,13 @@ func main() {
 		fmt.Printf(" %s(%d types)", w.Name(), len(w.Types()))
 	}
 	fmt.Println()
-	fmt.Printf("  %-4s %-26s %-8s %-6s %-8s %s\n", "gid", "type", "buffer", "mix%", "backends", "session cookie")
+	fmt.Printf("  %-4s %-31s %-8s %-6s %-8s %s\n", "gid", "type", "buffer", "mix%", "backends", "session cookie")
 	for _, spec := range reg.Specs() {
 		cookie := reg.WorkloadOf(spec.GID).SessionCookie()
 		if cookie == "" {
 			cookie = "-"
 		}
-		fmt.Printf("  %-4d %-26s %-8d %-6.0f %-8d %s\n",
+		fmt.Printf("  %-4d %-31s %-8d %-6.0f %-8d %s\n",
 			spec.GID, spec.Display, spec.BufferBytes, spec.MixPercent, spec.Backends, cookie)
 	}
 

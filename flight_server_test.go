@@ -265,8 +265,8 @@ func TestFlightShedPromotesExactlyOne(t *testing.T) {
 	if fmt.Sprint(rec.TraceID) != trace {
 		t.Fatalf("promoted trace_id %d does not match the 503's X-Rhythm-Trace %s", rec.TraceID, trace)
 	}
-	if rec.Type != "profile" {
-		t.Fatalf("shed record type = %q, want profile", rec.Type)
+	if rec.Type != "banking/profile" {
+		t.Fatalf("shed record type = %q, want banking/profile", rec.Type)
 	}
 }
 

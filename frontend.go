@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rhythm/internal/backend"
-	"rhythm/internal/banking"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
@@ -280,14 +279,14 @@ type liveConn struct {
 
 // connArena holds the per-connection reusable buffers of the zero-copy
 // hot path: the raw request bytes, the parsed request (param/cookie
-// slices recycled by ParseInto), the banking execution scratch, and a
-// max-size render buffer. One arena serves every request on its
+// slices recycled by ParseInto), the page-workload execution scratch,
+// and a max-size render buffer. One arena serves every request on its
 // connection, so the steady state allocates nothing but the parse's
 // raw-to-string conversion — see DESIGN.md §14.
 type connArena struct {
 	raw     []byte
 	req     httpx.Request
-	scratch *banking.Scratch
+	scratch *service.Scratch
 	out     []byte
 	// frec is the connection's flight-record scratch: armed per
 	// classified request and either recycled (fast path) or copied into
@@ -304,7 +303,7 @@ type connArena struct {
 func newConnArena(maxOut int) *connArena {
 	a := &connArena{raw: make([]byte, 0, 1024)}
 	if maxOut > 0 {
-		a.scratch = banking.NewScratch()
+		a.scratch = service.NewScratch()
 		a.out = make([]byte, maxOut)
 	}
 	return a

@@ -7,6 +7,7 @@ import (
 
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 )
 
@@ -27,7 +28,7 @@ func newHarness(t *testing.T) *harness {
 
 // run generates and executes one request of type rt, returning the ctx
 // and rendered response.
-func (h *harness) run(t *testing.T, rt ReqType) (*Ctx, []byte) {
+func (h *harness) run(t *testing.T, rt ReqType) (*service.Ctx, []byte) {
 	t.Helper()
 	raw := h.gen.Request(rt)
 	req, err := httpx.Parse(raw)
@@ -38,8 +39,8 @@ func (h *harness) run(t *testing.T, rt ReqType) (*Ctx, []byte) {
 	if !ok || typ != rt {
 		t.Fatalf("%s: path %q resolves to %v, %v", rt, req.Path, typ, ok)
 	}
-	ctx := Execute(ServiceFor(rt), &req, h.sessions, h.db, true)
-	return ctx, RenderAlloc(ctx)
+	ctx := Workload.Execute(int(rt), &req, h.sessions, h.db, true)
+	return ctx, Workload.RenderAlloc(ctx)
 }
 
 func TestAllTypesValidate(t *testing.T) {
@@ -141,7 +142,7 @@ func TestUnpaddedSectionMarksDiverge(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		raw := h.gen.Request(AccountSummary)
 		req, _ := httpx.Parse(raw)
-		ctx := Execute(ServiceFor(AccountSummary), &req, h.sessions, h.db, false)
+		ctx := Workload.Execute(int(AccountSummary), &req, h.sessions, h.db, false)
 		if ctx.Err != "" {
 			t.Fatal(ctx.Err)
 		}
@@ -170,7 +171,7 @@ func TestLoginCreatesSessionLogoutDeletes(t *testing.T) {
 	cookieVal := strings.TrimPrefix(hdrs["Set-Cookie"], "MY_ID=")
 	raw := fmt.Sprintf("GET /logout.php HTTP/1.1\r\nCookie: MY_ID=%s\r\n\r\n", cookieVal)
 	req, _ := httpx.Parse([]byte(raw))
-	ctx2 := Execute(ServiceFor(Logout), &req, h.sessions, h.db, true)
+	ctx2 := Workload.Execute(int(Logout), &req, h.sessions, h.db, true)
 	if ctx2.Err != "" {
 		t.Fatal(ctx2.Err)
 	}
@@ -183,11 +184,11 @@ func TestBadCredentialsFail(t *testing.T) {
 	h := newHarness(t)
 	raw := "POST /login.php HTTP/1.1\r\nContent-Length: 26\r\n\r\nuserid=55&passwd=wrongpass"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Login), &req, h.sessions, h.db, true)
+	ctx := Workload.Execute(int(Login), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("bad credentials accepted")
 	}
-	resp := RenderAlloc(ctx)
+	resp := Workload.RenderAlloc(ctx)
 	if err := Validate(Login, resp); err == nil {
 		t.Fatal("error page validated as success")
 	}
@@ -204,7 +205,7 @@ func TestExpiredSessionFails(t *testing.T) {
 	h := newHarness(t)
 	raw := "GET /profile.php HTTP/1.1\r\nCookie: MY_ID=ffffffffffffffff\r\n\r\n"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Profile), &req, h.sessions, h.db, true)
+	ctx := Workload.Execute(int(Profile), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("forged session accepted")
 	}
@@ -214,7 +215,7 @@ func TestMissingCookieFails(t *testing.T) {
 	h := newHarness(t)
 	raw := "GET /transfer.php HTTP/1.1\r\n\r\n"
 	req, _ := httpx.Parse([]byte(raw))
-	ctx := Execute(ServiceFor(Transfer), &req, h.sessions, h.db, true)
+	ctx := Workload.Execute(int(Transfer), &req, h.sessions, h.db, true)
 	if ctx.Err == "" {
 		t.Fatal("cookie-less request accepted")
 	}
@@ -345,8 +346,8 @@ func TestMoneyFormat(t *testing.T) {
 
 func TestFillerTextExactLength(t *testing.T) {
 	for _, n := range []int{1, 5, 9, 100, 555, 4096} {
-		if got := len(fillerText(n)); got != n {
-			t.Fatalf("fillerText(%d) = %d bytes", n, got)
+		if got := len(service.Filler(finePrint, n)); got != n {
+			t.Fatalf("Filler(finePrint, %d) = %d bytes", n, got)
 		}
 	}
 }
@@ -356,7 +357,7 @@ func TestHeaderLenMatchesRender(t *testing.T) {
 	_, resp := h.run(t, Profile)
 	// Find the body start.
 	idx := strings.Index(string(resp), "\r\n\r\n")
-	if idx+4 != HeaderLen {
-		t.Fatalf("actual header %d bytes, const says %d", idx+4, HeaderLen)
+	if want := Workload.HeaderLen(int(Profile)); idx+4 != want {
+		t.Fatalf("actual header %d bytes, HeaderLen says %d", idx+4, want)
 	}
 }

@@ -28,7 +28,7 @@ func BenchmarkHostExecute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := Execute(ServiceFor(AccountSummary), &req, sessions, db, true)
+		ctx := Workload.Execute(int(AccountSummary), &req, sessions, db, true)
 		if ctx.Err != "" {
 			b.Fatal(ctx.Err)
 		}
@@ -39,12 +39,12 @@ func BenchmarkHostExecute(b *testing.B) {
 func BenchmarkRender(b *testing.B) {
 	db, sessions, gen := benchRig(b)
 	req, _ := httpx.Parse(gen.Request(AccountSummary))
-	ctx := Execute(ServiceFor(AccountSummary), &req, sessions, db, true)
-	buf := make([]byte, ctx.Spec.BufferBytes())
+	ctx := Workload.Execute(int(AccountSummary), &req, sessions, db, true)
+	buf := make([]byte, ctx.Def.BufferBytes)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Render(ctx, buf)
+		Workload.Render(ctx, buf)
 	}
 }
 
@@ -52,8 +52,8 @@ func BenchmarkRender(b *testing.B) {
 func BenchmarkValidate(b *testing.B) {
 	db, sessions, gen := benchRig(b)
 	req, _ := httpx.Parse(gen.Request(Profile))
-	ctx := Execute(ServiceFor(Profile), &req, sessions, db, true)
-	resp := RenderAlloc(ctx)
+	ctx := Workload.Execute(int(Profile), &req, sessions, db, true)
+	resp := Workload.RenderAlloc(ctx)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Validate(Profile, resp); err != nil {

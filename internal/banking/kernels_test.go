@@ -1,12 +1,12 @@
 package banking
 
 import (
-	"bytes"
 	"testing"
 
 	"rhythm/internal/backend"
 	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -122,27 +122,23 @@ func TestParserKernelMalformed(t *testing.T) {
 
 // runStageKernels drives a typed cohort through every process stage with
 // a chained device backend and returns the cohort.
-func (rig *kernelRig) runStageKernels(t *testing.T, rt ReqType, n int) *DeviceCohort {
+func (rig *kernelRig) runStageKernels(t *testing.T, rt ReqType, n int) *service.Cohort {
 	t.Helper()
-	dc := NewDeviceCohort(rig.dev, rt, n)
-	dc.Reset(n)
+	c := Workload.NewCohort(rig.dev, Specs[rt].BufferBytes(), n, service.DeviceMode)
+	c.Reset(int(rt), n)
 	for i := 0; i < n; i++ {
 		req, err := httpx.Parse(rig.gen.Request(rt))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dc.Reqs[i] = req
+		c.Reqs[i] = req
 	}
-	svc := ServiceFor(rt)
 	stream := rig.dev.NewStream()
-	for k := 0; k <= svc.Spec.Backends; k++ {
-		stream.Launch(NewStageProgram(StageArgs{
-			Cohort: dc, Service: svc, Stage: k,
-			Sessions: rig.sessions, Padding: true, ColMajor: true, Besim: rig.db,
-		}), n, nil, nil)
+	for k := 0; k <= Specs[rt].Backends; k++ {
+		stream.Launch(c.Stage(k, rig.sessions, rig.db), n, nil, nil)
 	}
 	rig.eng.Run()
-	return dc
+	return c
 }
 
 func TestStageKernelsProduceValidResponses(t *testing.T) {
@@ -150,12 +146,12 @@ func TestStageKernelsProduceValidResponses(t *testing.T) {
 	const n = 32
 	dc := rig.runStageKernels(t, AccountSummary, n)
 	// Un-transpose and validate every response.
-	mem.TransposeElems(rig.dev.Mem, dc.RespRow, dc.RespCol, dc.Spec.BufferBytes()/4, n, 4)
+	mem.TransposeElems(rig.dev.Mem, dc.RespRow, dc.RespCol, Specs[AccountSummary].BufferBytes()/4, n, 4)
 	for i := 0; i < n; i++ {
 		if dc.Ctxs[i].Err != "" {
 			t.Fatalf("req %d: %s", i, dc.Ctxs[i].Err)
 		}
-		resp := rig.dev.Mem.Read(dc.RespRow+mem.Addr(i*dc.Spec.BufferBytes()), dc.Spec.BufferBytes())
+		resp := dc.Response(rig.dev.Mem, i)
 		if err := Validate(AccountSummary, resp); err != nil {
 			t.Fatalf("req %d: %v", i, err)
 		}
@@ -192,14 +188,14 @@ func TestStageKernelQuickPayEarlyRetirement(t *testing.T) {
 
 func TestBindRejectsWrongClass(t *testing.T) {
 	rig := newKernelRig(t, 64<<20)
-	dc := NewDeviceCohortClass(rig.dev, 16<<10, 8)
-	dc.Bind(Transfer) // 16 KB buffers: fits
+	dc := Workload.NewCohort(rig.dev, 16<<10, 8, service.DeviceMode)
+	dc.Reset(int(Transfer), 8) // 16 KB buffers: fits
 	defer func() {
 		if recover() == nil {
 			t.Error("binding a 32 KB type to a 16 KB class did not panic")
 		}
 	}()
-	dc.Bind(AccountSummary)
+	dc.Reset(int(AccountSummary), 8)
 }
 
 func TestCohortDeviceBytesAccounting(t *testing.T) {
@@ -213,30 +209,5 @@ func TestCohortDeviceBytesAccounting(t *testing.T) {
 	}
 	if all != classes {
 		t.Fatalf("AllClassesDeviceBytes = %d, want %d", all, classes)
-	}
-}
-
-func TestStoreColumnUnalignedOffsets(t *testing.T) {
-	// storeColumn must write correct bytes at any byte offset; the
-	// aligned fast path and the partial-word paths must agree.
-	rig := newKernelRig(t, 8<<20)
-	const rows = 8
-	buf := rig.dev.Mem.Alloc(rows*64, 256)
-	payload := []byte("unaligned-payload!")
-	rig.dev.NewStream().Launch(simt.FuncProgram{Label: "uw", Body: func(th *simt.Thread) {
-		storeColumn(th, buf, th.ID, rows, 3+th.ID%4, payload)
-	}}, rows, nil, nil)
-	rig.eng.Run()
-	// Un-interleave and check each row.
-	for r := 0; r < rows; r++ {
-		start := 3 + r%4
-		got := make([]byte, len(payload))
-		for i := range got {
-			off := start + i
-			got[i] = rig.dev.Mem.Bytes(buf+mem.Addr((off/4)*(4*rows)+4*r+off%4), 1)[0]
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("row %d: %q", r, got)
-		}
 	}
 }

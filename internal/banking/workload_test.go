@@ -17,7 +17,7 @@ func TestCacheableSet(t *testing.T) {
 		Profile:             true,
 		Transfer:            true,
 	}
-	specs := NewWorkload().Types()
+	specs := Workload.Types()
 	if len(specs) != int(NumTypes) {
 		t.Fatalf("workload declares %d types, want %d", len(specs), NumTypes)
 	}

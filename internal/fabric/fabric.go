@@ -219,6 +219,11 @@ func ParseNodeFaultPlan(data []byte) (*NodeFaultPlan, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("fabric: parsing node fault plan: %w", err)
 	}
+	for i, f := range p.Faults {
+		if f.Node < 0 {
+			return nil, fmt.Errorf("fabric: node fault %d: negative node %d", i, f.Node)
+		}
+	}
 	return &p, nil
 }
 

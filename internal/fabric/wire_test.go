@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rhythm/internal/httpx"
+	"rhythm/internal/simt"
 )
 
 // allocatedBy reports the heap bytes fn allocates.
@@ -106,6 +107,104 @@ func FuzzDecodeDispatch(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, back) {
 			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, back)
+		}
+	})
+}
+
+// sampleResult is a realistic result frame: a two-stage cohort with two
+// responses.
+func sampleResult() *resultMsg {
+	return &resultMsg{
+		ID: 42, Device: 3, Attempts: 2, Hops: 1, DeviceTime: 123456, RenderDurNs: 789,
+		StageDurs: []int64{1500, 2500},
+		Stages: []simt.LaunchStats{
+			{Kernel: "rhythm_banking_login_s0", Threads: 64, Warps: 2, IssueCycles: 9000, MemBytes: 4096,
+				Transactions: 64, IdealTxns: 32, BlockExecs: 10, DivergentExec: 1, Duration: 777, Seq: 5,
+				Occupancy: 0.5, EnergyJ: 1e-6},
+			{Kernel: "rhythm_banking_login_s1", Threads: 64, Warps: 2, Seq: 6},
+		},
+		Resps: [][]byte{[]byte("HTTP/1.1 200 OK\r\n\r\nA"), []byte("HTTP/1.1 200 OK\r\n\r\nB")},
+	}
+}
+
+// FuzzDecodeResult: any payload the decoder accepts survives the round
+// trip decode(encode(m)) == m. Messages are compared by their encoding:
+// it covers every field bit for bit (a NaN occupancy included, which
+// reflect.DeepEqual would call unequal to itself).
+func FuzzDecodeResult(f *testing.F) {
+	f.Add(encodeResult(sampleResult()))
+	f.Add(encodeResult(&resultMsg{ID: 9, Err: "device lost", Host: true}))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := decodeResult(p)
+		if err != nil {
+			return
+		}
+		enc := encodeResult(&m)
+		back, err := decodeResult(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted message: %v", err)
+		}
+		if !bytes.Equal(encodeResult(&back), enc) || len(back.Resps) != len(m.Resps) || len(back.Stages) != len(m.Stages) {
+			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, back)
+		}
+	})
+}
+
+// FuzzDecodeHello: accepted hellos survive the round trip.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(encodeHello(hello{Version: wireVersion, Devices: 4, Groups: 8, NumTypes: 23,
+		Workloads: []string{"banking", "ecom", "telemetry"}}))
+	f.Add(encodeHello(hello{}))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		h, err := decodeHello(p)
+		if err != nil {
+			return
+		}
+		back, err := decodeHello(encodeHello(h))
+		if err != nil {
+			t.Fatalf("re-decoding an accepted hello: %v", err)
+		}
+		if !reflect.DeepEqual(h, back) {
+			t.Fatalf("round trip changed the hello:\n%+v\n%+v", h, back)
+		}
+	})
+}
+
+// FuzzDecodeNack: accepted nacks survive the round trip.
+func FuzzDecodeNack(f *testing.F) {
+	f.Add(encodeNack(nackMsg{ID: 77, Reason: 1}))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := decodeNack(p)
+		if err != nil {
+			return
+		}
+		back, err := decodeNack(encodeNack(m))
+		if err != nil || back != m {
+			t.Fatalf("round trip: %+v -> %+v (err %v)", m, back, err)
+		}
+	})
+}
+
+// FuzzDecodeStats: accepted stats requests and replies survive the
+// round trip.
+func FuzzDecodeStats(f *testing.F) {
+	f.Add(encodeStats(11, []byte(`{"devices":[]}`)), true)
+	f.Add(encodeStatsReq(12), false)
+	f.Fuzz(func(t *testing.T, p []byte, withBody bool) {
+		m, err := decodeStats(p, withBody)
+		if err != nil {
+			return
+		}
+		enc := encodeStatsReq(m.ReqID)
+		if withBody {
+			enc = encodeStats(m.ReqID, m.JSON)
+		}
+		back, err := decodeStats(enc, withBody)
+		if err != nil {
+			t.Fatalf("re-decoding accepted stats: %v", err)
+		}
+		if back.ReqID != m.ReqID || !bytes.Equal(back.JSON, m.JSON) {
+			t.Fatalf("round trip changed the stats message:\n%+v\n%+v", m, back)
 		}
 	})
 }

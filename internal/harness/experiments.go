@@ -58,7 +58,7 @@ func Table2(cfg Config) Table2Result {
 			if err != nil {
 				panic(err)
 			}
-			ctx := banking.Execute(banking.ServiceFor(rt), &req, sessions, db, true)
+			ctx := banking.Workload.Execute(int(rt), &req, sessions, db, true)
 			if ctx.Err != "" {
 				panic(fmt.Sprintf("table2: %s failed: %s", rt, ctx.Err))
 			}
@@ -211,7 +211,7 @@ func Fig2(cfg Config) Fig2Result {
 			if err != nil {
 				panic(err)
 			}
-			ctx := banking.Execute(banking.ServiceFor(rt), &req, sessions, db, true)
+			ctx := banking.Workload.Execute(int(rt), &req, sessions, db, true)
 			if ctx.Err != "" {
 				panic(fmt.Sprintf("fig2: %s failed: %s", rt, ctx.Err))
 			}

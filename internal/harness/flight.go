@@ -9,6 +9,7 @@ import (
 	"rhythm/internal/banking"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 )
 
@@ -56,7 +57,7 @@ type FlightResult struct {
 type flightServe struct {
 	sessions *session.Array
 	db       *backend.DB
-	scratch  *banking.Scratch
+	scratch  *service.Scratch
 	out      []byte
 	req      httpx.Request
 }
@@ -69,8 +70,8 @@ func (f *flightServe) serve(raw []byte) (banking.ReqType, bool) {
 	if !ok {
 		return 0, false
 	}
-	ctx := f.scratch.Execute(banking.ServiceFor(t), &f.req, f.sessions, f.db, true)
-	banking.Render(ctx, f.out[:ctx.Spec.BufferBytes()])
+	ctx := f.scratch.Execute(banking.Workload, int(t), &f.req, f.sessions, f.db, true)
+	banking.Workload.Render(ctx, f.out[:ctx.Def.BufferBytes])
 	return t, ctx.Err == ""
 }
 
@@ -89,7 +90,7 @@ func FlightStudy(cfg Config) FlightResult {
 		return &flightServe{
 			sessions: sessions,
 			db:       backend.New(),
-			scratch:  banking.NewScratch(),
+			scratch:  service.NewScratch(),
 			out:      make([]byte, banking.MaxBufferBytes()),
 		}, corpus
 	}

@@ -114,15 +114,15 @@ func FrontendStudy(cfg Config) FrontendResult {
 				if !ok {
 					return false
 				}
-				ctx := banking.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				banking.RenderAlloc(ctx)
+				ctx := banking.Workload.Execute(int(t), &req, sessions, db, true)
+				banking.Workload.RenderAlloc(ctx)
 				return ctx.Err == ""
 			}
 		})
 
 	res.Pooled = runFrontendMode("pooled", cfg, n,
 		func(sessions *session.Array, db *backend.DB) func([]byte) bool {
-			scratch := banking.NewScratch()
+			scratch := service.NewScratch()
 			out := make([]byte, banking.MaxBufferBytes())
 			var req httpx.Request
 			return func(raw []byte) bool {
@@ -133,8 +133,8 @@ func FrontendStudy(cfg Config) FrontendResult {
 				if !ok {
 					return false
 				}
-				ctx := scratch.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				banking.Render(ctx, out[:ctx.Spec.BufferBytes()])
+				ctx := scratch.Execute(banking.Workload, int(t), &req, sessions, db, true)
+				banking.Workload.Render(ctx, out[:ctx.Def.BufferBytes])
 				return ctx.Err == ""
 			}
 		})
@@ -144,7 +144,7 @@ func FrontendStudy(cfg Config) FrontendResult {
 		func(sessions *session.Array, db *backend.DB) func([]byte) bool {
 			cache = rcache.New(1 << 16)
 			db.SetWriteHook(cache.Invalidate)
-			scratch := banking.NewScratch()
+			scratch := service.NewScratch()
 			out := make([]byte, banking.MaxBufferBytes())
 			var req httpx.Request
 			return func(raw []byte) bool {
@@ -174,8 +174,8 @@ func FrontendStudy(cfg Config) FrontendResult {
 						}
 					}
 				}
-				ctx := scratch.Execute(banking.ServiceFor(t), &req, sessions, db, true)
-				resp := banking.Render(ctx, out[:ctx.Spec.BufferBytes()])
+				ctx := scratch.Execute(banking.Workload, int(t), &req, sessions, db, true)
+				resp := banking.Workload.Render(ctx, out[:ctx.Def.BufferBytes])
 				if cacheable && ctx.Err == "" {
 					cache.Put(service.TypeID(t), csid, cuid, cver, &req, resp)
 				}

@@ -14,6 +14,7 @@ import (
 	"rhythm/internal/cohort"
 	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
+	"rhythm/internal/service"
 	"rhythm/internal/session"
 	"rhythm/internal/sim"
 	"rhythm/internal/simt"
@@ -161,8 +162,8 @@ type Server struct {
 	sessions *session.Array
 
 	pool       *cohort.Pool[preq]
-	streams    []*simt.Stream                  // one per cohort context
-	dcs        []map[int]*banking.DeviceCohort // per context, by buffer class
+	streams    []*simt.Stream            // one per cohort context
+	dcs        []map[int]*service.Cohort // per context, by buffer class
 	batches    []*readerBatch
 	backendSrv *sim.Server
 	hostSrv    *sim.Server // straggler re-execution workers
@@ -220,7 +221,7 @@ func New(eng *sim.Engine, dev *simt.Device, opts Options, db *backend.DB, sessio
 		})
 	for i := 0; i < opts.MaxCohorts; i++ {
 		s.streams = append(s.streams, dev.NewStream())
-		s.dcs = append(s.dcs, make(map[int]*banking.DeviceCohort))
+		s.dcs = append(s.dcs, make(map[int]*service.Cohort))
 	}
 	// Double-buffered reader (§4.2).
 	for i := 0; i < 2; i++ {
@@ -431,35 +432,21 @@ func (s *Server) drainOverflow() {
 // stages and n+1 process stages (§3.1), then the response stage.
 func (s *Server) runCohort(c *cohort.Context[preq]) {
 	reqs := c.Requests()
-	t := reqs[0].t
-	svc := banking.ServiceFor(t)
-	dc := s.deviceCohort(c.ID, t)
-	dc.Reset(len(reqs))
+	dc := s.deviceCohort(c.ID, reqs[0].t)
+	dc.Reset(int(reqs[0].t), len(reqs))
 	for i, pr := range reqs {
 		dc.Reqs[i] = pr.req
 	}
 	stream := s.streams[c.ID]
 	count := len(reqs)
 
-	var besim *backend.DB
-	if s.opts.DeviceBackend {
-		besim = s.db
-	}
-
 	stragglers := make(map[int]bool)
 	var nextStage func(k int)
 	nextStage = func(k int) {
-		args := banking.StageArgs{
-			Cohort:   dc,
-			Service:  svc,
-			Stage:    k,
-			Sessions: s.sessions,
-			Padding:  s.opts.Padding,
-			ColMajor: s.opts.ColumnMajor,
-			Besim:    besim,
-		}
-		stream.Launch(banking.NewStageProgram(args), count, nil, func(simt.LaunchStats) {
-			if k < svc.Spec.Backends {
+		// Without a device backend the kernel stages its requests for
+		// hostBackend and never touches s.db itself.
+		stream.Launch(dc.Stage(k, s.sessions, s.db), count, nil, func(simt.LaunchStats) {
+			if k < dc.Def.Backends {
 				if s.opts.DeviceBackend {
 					// Besim ran chained inside the kernel.
 					nextStage(k + 1)
@@ -480,7 +467,7 @@ func (s *Server) runCohort(c *cohort.Context[preq]) {
 // straggler timeout configured, the cohort proceeds when the deadline
 // passes and any unfinished requests are re-executed entirely on the
 // host (§3.1).
-func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
+func (s *Server) hostBackend(c *cohort.Context[preq], dc *service.Cohort, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
 	stream.TransposeLive(dc.BReqRow, dc.BReqBuf, backend.RequestSlot/4, dc.Size, 4,
 		backend.RequestSlot/4, count, nil)
 	stream.MemcpyD2H(dc.BReqRow, count*backend.RequestSlot, func(image []byte) {
@@ -548,20 +535,19 @@ func (s *Server) hostBackend(c *cohort.Context[preq], dc *banking.DeviceCohort, 
 // shedStraggler hands one timed-out request to the host CPU: the device
 // slot is marked failed (its error page is discarded), and the full
 // request re-executes on a host worker, producing the real response.
-func (s *Server) shedStraggler(c *cohort.Context[preq], dc *banking.DeviceCohort, r int) {
+func (s *Server) shedStraggler(c *cohort.Context[preq], dc *service.Cohort, r int) {
 	if ctx := dc.Ctxs[r]; ctx != nil && ctx.Err == "" {
 		ctx.Fail("backend straggler: reissued on host")
 	}
 	arrived := c.Requests()[r].arrived
 	req := dc.Reqs[r]
-	svc := banking.ServiceFor(dc.Spec.Type)
 	s.inflight++
 	// Functional execution now; completion priced by instruction count
 	// on a host worker. (Re-running from stage 0 can repeat an earlier
 	// stage's side effect — e.g. a login that stalled on its *second*
 	// round trip leaves an extra session — the idempotency cost the
 	// paper's "execute on the host CPU" option inherently carries.)
-	hctx := banking.Execute(svc, &req, s.sessions, s.db, s.opts.Padding)
+	hctx := banking.Workload.Execute(dc.Def.Local(), &req, s.sessions, s.db, s.opts.Padding)
 	service := sim.Time(float64(hctx.Instr()) / s.opts.HostIPS * 1e9)
 	s.hostSrv.Submit(service, func() {
 		s.stats.Stragglers++
@@ -578,8 +564,8 @@ func (s *Server) shedStraggler(c *cohort.Context[preq], dc *banking.DeviceCohort
 // respond runs the Response stage: transpose the cohort's responses back
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
 // them, record latencies, and free the cohort context.
-func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stream *simt.Stream, count int, stragglers map[int]bool) {
-	buf := dc.Spec.BufferBytes()
+func (s *Server) respond(c *cohort.Context[preq], dc *service.Cohort, stream *simt.Stream, count int, stragglers map[int]bool) {
+	buf := dc.Def.BufferBytes
 	if s.opts.ColumnMajor {
 		if s.opts.OffloadResponseTranspose {
 			// Titan C: a specialized unit (NIC / memory-controller logic)
@@ -607,7 +593,7 @@ func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stre
 			if v := s.opts.ValidateEvery; v > 0 && (s.stats.Completed%uint64(v)) == 0 && (ctx == nil || ctx.Err == "") {
 				s.stats.Validated++
 				resp := s.dev.Mem.Read(dc.RespRow+mem.Addr(i*buf), buf)
-				if err := banking.Validate(dc.Spec.Type, resp); err != nil {
+				if err := banking.Validate(banking.ReqType(dc.Def.Local()), resp); err != nil {
 					s.stats.ValidationFailures++
 				}
 			}
@@ -631,14 +617,14 @@ func (s *Server) respond(c *cohort.Context[preq], dc *banking.DeviceCohort, stre
 // buffer set per class. The paper preallocates all pipeline resources at
 // first launch (§4.2); lazy allocation here is equivalent because device
 // memory is never freed.
-func (s *Server) deviceCohort(id int, t banking.ReqType) *banking.DeviceCohort {
+func (s *Server) deviceCohort(id int, t banking.ReqType) *service.Cohort {
 	class := banking.SpecFor(t).BufferBytes()
 	dc, ok := s.dcs[id][class]
 	if !ok {
-		dc = banking.NewDeviceCohortClass(s.dev, class, s.opts.CohortSize)
+		mode := service.KernelMode{Padding: s.opts.Padding, ColumnMajor: s.opts.ColumnMajor, DeviceBackend: s.opts.DeviceBackend}
+		dc = banking.Workload.NewCohort(s.dev, class, s.opts.CohortSize, mode)
 		s.dcs[id][class] = dc
 	}
-	dc.Bind(t)
 	return dc
 }
 

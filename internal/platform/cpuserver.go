@@ -147,12 +147,12 @@ func (s *CPUServer) serve(raw []byte) (int64, bool) {
 	if !ok {
 		return instr, true
 	}
-	ctx := banking.Execute(banking.ServiceFor(t), &req, s.sessions, s.db, true)
+	ctx := banking.Workload.Execute(int(t), &req, s.sessions, s.db, true)
 	instr += ctx.Instr()
 	errPage := ctx.Err != ""
 	if v := s.valEvery; v > 0 && (s.completed%uint64(v)) == 0 && !errPage {
 		s.validated++
-		if err := banking.Validate(t, banking.RenderAlloc(ctx)); err != nil {
+		if err := banking.Validate(t, banking.Workload.RenderAlloc(ctx)); err != nil {
 			s.valFails++
 		}
 	}

@@ -25,6 +25,9 @@ const (
 	// SessionCreates: the type creates a session during its stages
 	// (login-shaped); any existing cookie is ignored.
 	SessionCreates
+	// SessionEnds: SessionRequired for a type whose stages delete the
+	// resolved session (logout-shaped).
+	SessionEnds
 )
 
 // StageFunc is one request type's process logic, shared verbatim by the
@@ -57,11 +60,28 @@ type SvcDef struct {
 	// Stage is the process logic.
 	Stage StageFunc
 
-	headerLen int // computed at registration
+	// Computed at registration.
+	local     int
+	headerLen int
 }
 
-// Ctx carries one request through its process stages, shared by the
-// host path and the SIMT kernels so both produce identical bytes.
+// Local reports the type's index within its workload.
+func (def *SvcDef) Local() int { return def.local }
+
+// resolvesSession reports whether the prologue resolves the cookie.
+func (def *SvcDef) resolvesSession() bool {
+	return def.Session == SessionOptional || def.Session == SessionRequired || def.Session == SessionEnds
+}
+
+// BlockBase gives each local type a disjoint basic-block id space for
+// the Fig 2 trace study: the prologue records BlockBase, the error page
+// BlockBase+999, and stage functions number their blocks in between.
+func BlockBase(local int) uint32 { return uint32(local+1) * 1000 }
+
+// Ctx carries one request through its process stages. It is shared by
+// the host path and the SIMT kernels: both run the same stage functions,
+// so the bytes produced — and the structural instruction counts charged
+// — are identical by construction.
 type Ctx struct {
 	Req      *httpx.Request
 	Sessions *session.Array
@@ -77,10 +97,12 @@ type Ctx struct {
 	// NewCookie, when non-empty, is the Set-Cookie value the response
 	// carries (only meaningful for workloads with a session cookie).
 	NewCookie string
-	// Err marks the request failed; the response is a full-size error
-	// page on the cohort's divergent path.
+	// Err, when non-empty, marks the request failed; the response is a
+	// full-size error page on the cohort's divergent path (§4.4).
 	Err string
-	// Done marks early completion of a variable-stage type.
+	// Done marks early completion of a variable-stage type: the page is
+	// built and the remaining backend stages are skipped, so its thread
+	// drops out of the cohort's later kernels.
 	Done bool
 	// Data carries service-private state between stages.
 	Data any
@@ -92,7 +114,7 @@ type Ctx struct {
 // Charge adds n instructions of non-page work.
 func (c *Ctx) Charge(n int64) { c.instr += n }
 
-// Instr reports total instructions charged.
+// Instr reports total instructions charged: fixed + stages + page.
 func (c *Ctx) Instr() int64 { return c.instr + c.Page.Instr() }
 
 // Fail marks the request failed.
@@ -115,28 +137,30 @@ func (c *Ctx) CreateSession(uid uint64) bool {
 }
 
 // initCtx prepares a context (fresh or recycled, Page attached and
-// reset): fixed-cost charge and session-cookie resolution per the
-// type's SessionMode.
+// reset): fixed-cost charge, the type's prologue block, and
+// session-cookie resolution per the type's SessionMode.
 func (w *PageWorkload) initCtx(ctx *Ctx, def *SvcDef, req *httpx.Request, sessions *session.Array, padding bool) {
 	page := ctx.Page
 	*ctx = Ctx{Req: req, Sessions: sessions, Def: def, Page: page, w: w}
+	page.costs = w.costs
 	page.SetPadding(padding)
 	ctx.Charge(w.costs.Fixed)
-	switch def.Session {
-	case SessionNone, SessionCreates:
+	page.Block(BlockBase(def.local))
+	if !def.resolvesSession() {
 		return
 	}
+	required := def.Session != SessionOptional
 	cookie := req.Cookie(w.cookieName)
 	sid, ok := session.ParseID(cookie)
 	if !ok {
-		if def.Session == SessionRequired {
+		if required {
 			ctx.Fail("missing or malformed session cookie")
 		}
 		return
 	}
 	uid, ok := sessions.Lookup(sid)
 	if !ok {
-		if def.Session == SessionRequired {
+		if required {
 			ctx.Fail("session expired")
 		}
 		return
@@ -147,9 +171,9 @@ func (w *PageWorkload) initCtx(ctx *Ctx, def *SvcDef, req *httpx.Request, sessio
 	ctx.NewCookie = w.cookieName + "=" + sid.String()
 }
 
-// runStages drives the stage functions on the host path, invoking
-// callBackend for each round trip; on error it builds the error page.
-func runStages(def *SvcDef, ctx *Ctx, callBackend func([]byte) []byte) {
+// runStages drives the stage functions on the host path against be; on
+// error it builds the error page.
+func runStages(def *SvcDef, ctx *Ctx, be Backend) {
 	var bresp []byte
 	for i := 0; i <= def.Backends; i++ {
 		if ctx.Err != "" || ctx.Done {
@@ -167,7 +191,7 @@ func runStages(def *SvcDef, ctx *Ctx, callBackend func([]byte) []byte) {
 				panic(fmt.Sprintf("service: %s stage %d backend request exceeds slot", def.Name, i))
 			}
 			ctx.Charge(ctx.w.costs.Backend)
-			bresp = callBackend(breq)
+			bresp = be.Handle(breq)
 		}
 	}
 	if ctx.Err != "" {
@@ -176,12 +200,42 @@ func runStages(def *SvcDef, ctx *Ctx, callBackend func([]byte) []byte) {
 }
 
 // buildErrorPage renders the divergent error path: a short message in a
-// full-size buffer so cohort geometry is undisturbed (§4.4).
+// full-size buffer so cohort geometry is undisturbed (§4.4). The body is
+// the workload's ErrorPage hook, or a generic page naming the workload.
 func buildErrorPage(ctx *Ctx) {
-	ctx.Page.Reset()
-	ctx.Page.Static("<html><head><title>")
-	ctx.Page.Static(ctx.w.name)
-	ctx.Page.Static(" - Error</title></head><body>\n<h1>Request failed</h1>\n<p class=\"error\">")
-	ctx.Page.Dynamic(ctx.Err)
-	ctx.Page.Static("</p>\n</body></html>\n")
+	p := ctx.Page
+	p.Reset() // discard partial content, keep capacity
+	p.Block(BlockBase(ctx.Def.local) + 999)
+	if ctx.w.errorPage != nil {
+		ctx.w.errorPage(ctx)
+		return
+	}
+	p.Static("<html><head><title>")
+	p.Static(ctx.w.name)
+	p.Static(" - Error</title></head><body>\n<h1>Request failed</h1>\n<p class=\"error\">")
+	p.Dynamic(ctx.Err)
+	p.Static("</p>\n</body></html>\n")
+}
+
+// Scratch is a reusable host execution context: one per connection (or
+// per worker) runs every request through the same Ctx and PageBuilder,
+// resetting rather than reallocating between requests.
+type Scratch struct {
+	ctx  Ctx
+	page PageBuilder
+}
+
+// NewScratch returns an empty reusable execution context.
+func NewScratch() *Scratch { return &Scratch{} }
+
+// Execute runs one request exactly like PageWorkload.Execute but reuses
+// the scratch context and page builder. The returned ctx is valid until
+// the next Execute on the same Scratch.
+func (sc *Scratch) Execute(w *PageWorkload, local int, req *httpx.Request, sessions *session.Array, be Backend, padding bool) *Ctx {
+	sc.page.Reset()
+	sc.ctx.Page = &sc.page
+	def := &w.defs[local]
+	w.initCtx(&sc.ctx, def, req, sessions, padding)
+	runStages(def, &sc.ctx, be)
+	return &sc.ctx
 }

@@ -10,8 +10,16 @@ import (
 	"rhythm/internal/simt"
 )
 
-// Device-side cost constants, matching banking's calibration: on-device
-// backend lookups (§5.3.2) and session-array work.
+// This file implements page workloads as SIMT kernels: the per-type
+// process stages operating on cohort buffers in device memory. The
+// stage logic is the same Go code the host path runs; what differs is
+// the memory traffic — word-interleaved column-major cohort buffers
+// accessed in lockstep — and the cost accounting the simulator performs
+// on it.
+
+// Device-side cost constants: an on-device backend lookup (Titan B/C run
+// the backend as a device kernel, §5.3.2) and session-array work beyond
+// the atomics.
 const (
 	besimDeviceOps = 8000
 	sessionOps     = 64
@@ -22,66 +30,128 @@ const (
 // 128-byte transaction.
 const wordSize = 4
 
-// pageCohort is the device-resident geometry of one typed cohort plus
-// its host mirror, allocated per (execution slot, buffer class) and
-// rebound across types of the class.
-type pageCohort struct {
-	w     *PageWorkload
-	def   *SvcDef
-	size  int
-	count int
-	class int
+// KernelMode selects the §4.3.2/§5.3.2 variant the stage kernels run.
+// The registry's device path is the all-true Titan B mode; the paper
+// pipeline maps its Padding/ColumnMajor/DeviceBackend options onto it
+// for the Titan A and ablation runs.
+type KernelMode struct {
+	// Padding enables §4.3.2 whitespace alignment.
+	Padding bool
+	// ColumnMajor stores responses word-interleaved for the response
+	// transpose; otherwise each thread writes its own row-major slot
+	// (the transpose ablation).
+	ColumnMajor bool
+	// DeviceBackend chains the backend into the stage kernel; otherwise
+	// the stage stores its backend request for a host round trip
+	// through the BReqRow/BRespRow staging rows (Titan A).
+	DeviceBackend bool
+}
 
-	// Device buffers, column-major word-interleaved; respRow receives
-	// the response transpose (§4.3.2).
-	breqBuf  mem.Addr
-	brespBuf mem.Addr
-	respCol  mem.Addr
-	respRow  mem.Addr
+// DeviceMode is the registry's device path: padded, column-major, with
+// the backend on the device.
+var DeviceMode = KernelMode{Padding: true, ColumnMajor: true, DeviceBackend: true}
+
+// Cohort is the device-resident geometry of one typed page cohort plus
+// its host mirror. Size is the slot capacity; Count the live requests.
+// A cohort is allocated per buffer class and rebound across the types
+// of that class, so an execution slot holds at most one buffer set per
+// class.
+type Cohort struct {
+	Def   *SvcDef
+	Size  int
+	Count int
+	mode  KernelMode
+
+	// Device buffers. BReqBuf/BRespBuf hold the backend request and
+	// response slots column-major; RespCol receives the column-major
+	// response and RespRow its transpose (or, in row-major mode, the
+	// response directly). BReqRow/BRespRow exist only without a device
+	// backend: they stage the transposes a host backend needs — "A local
+	// device backend also avoids the need to transpose the backend
+	// request and response data" (§5.3.2).
+	BReqBuf  mem.Addr
+	BRespBuf mem.Addr
+	RespCol  mem.Addr
+	RespRow  mem.Addr
+	BReqRow  mem.Addr
+	BRespRow mem.Addr
 
 	// Host mirrors.
-	reqs []httpx.Request
-	ctxs []*Ctx
+	Reqs []httpx.Request
+	Ctxs []*Ctx
 
+	w     *PageWorkload
+	class int
 	// stageInstr tracks each request's charged instructions at the last
-	// stage boundary so stage kernels charge only their delta.
+	// stage boundary, so stage kernels charge only their delta.
 	stageInstr []int64
-
-	// scratch pools render buffers: emit runs concurrently across warps.
+	// scratch pools render buffers: emit runs concurrently across warps
+	// (simt.Config.HostParallelism > 1), so a single shared buffer would
+	// race.
 	scratch sync.Pool
 }
 
-func newPageCohort(w *PageWorkload, dev *simt.Device, class, size int) *pageCohort {
-	pc := &pageCohort{
+// NewCohort allocates the device buffers of a cohort of size slots for
+// response-buffer class bufBytes, running in mode.
+func (w *PageWorkload) NewCohort(dev *simt.Device, bufBytes, size int, mode KernelMode) *Cohort {
+	c := &Cohort{
+		Size:       size,
+		mode:       mode,
 		w:          w,
-		size:       size,
-		class:      class,
-		breqBuf:    dev.Mem.Alloc(size*BackendRequestSlot, 256),
-		brespBuf:   dev.Mem.Alloc(size*BackendResponseSlot, 256),
-		respCol:    dev.Mem.Alloc(size*class, 256),
-		respRow:    dev.Mem.Alloc(size*class, 256),
-		reqs:       make([]httpx.Request, size),
-		ctxs:       make([]*Ctx, size),
+		class:      bufBytes,
+		BReqBuf:    dev.Mem.Alloc(size*BackendRequestSlot, 256),
+		BRespBuf:   dev.Mem.Alloc(size*BackendResponseSlot, 256),
+		RespCol:    dev.Mem.Alloc(size*bufBytes, 256),
+		RespRow:    dev.Mem.Alloc(size*bufBytes, 256),
+		Reqs:       make([]httpx.Request, size),
+		Ctxs:       make([]*Ctx, size),
 		stageInstr: make([]int64, size),
 	}
-	pc.scratch.New = func() any { return make([]byte, class) }
-	return pc
+	if !mode.DeviceBackend {
+		c.BReqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
+		c.BRespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
+	}
+	c.scratch.New = func() any { return make([]byte, bufBytes) }
+	return c
 }
 
-func (pc *pageCohort) reset(def *SvcDef, count int) {
-	if def.BufferBytes != pc.class {
-		panic(fmt.Sprintf("service: cannot bind %s (%d B) to a %d B class cohort", def.Name, def.BufferBytes, pc.class))
+// Reset binds the cohort to local type `local` for a new batch of count
+// requests. The type's buffer must match the cohort's class exactly
+// (cohort geometry is derived from it).
+func (c *Cohort) Reset(local, count int) {
+	def := &c.w.defs[local]
+	if def.BufferBytes != c.class {
+		panic(fmt.Sprintf("service: cannot bind %s (%d B) to a %d B class cohort", def.Name, def.BufferBytes, c.class))
 	}
-	if count <= 0 || count > pc.size {
-		panic(fmt.Sprintf("service: cohort count %d out of range (size %d)", count, pc.size))
+	if count <= 0 || count > c.Size {
+		panic(fmt.Sprintf("service: cohort count %d out of range (size %d)", count, c.Size))
 	}
-	pc.def = def
-	pc.count = count
+	c.Def = def
+	c.Count = count
 	for i := 0; i < count; i++ {
-		pc.reqs[i] = httpx.Request{}
-		pc.ctxs[i] = nil
-		pc.stageInstr[i] = 0
+		c.Reqs[i] = httpx.Request{}
+		c.Ctxs[i] = nil
+		c.stageInstr[i] = 0
 	}
+}
+
+// Response returns a copy of request r's rendered response from the
+// row-major response buffer (valid after the response transpose, or
+// directly after the final stage in row-major mode).
+func (c *Cohort) Response(m *mem.Memory, r int) []byte {
+	if r < 0 || r >= c.Count {
+		panic(fmt.Sprintf("service: response row %d out of range (count %d)", r, c.Count))
+	}
+	return m.Read(c.RespRow+mem.Addr(r*c.class), c.class)
+}
+
+// Stage returns process-stage kernel k of the bound type. be is the
+// group's backend store, used only in DeviceBackend mode.
+func (c *Cohort) Stage(k int, sessions *session.Array, be Backend) simt.Program {
+	if k < 0 || k > c.Def.Backends {
+		panic(fmt.Sprintf("service: stage %d out of range for %s", k, c.Def.Name))
+	}
+	return stageProgram{c: c, stage: k, sessions: sessions, be: be}
 }
 
 // pageSlot is one execution slot's cohort state for one page workload.
@@ -89,71 +159,67 @@ type pageSlot struct {
 	w       *PageWorkload
 	dev     *simt.Device
 	size    int
-	byClass map[int]*pageCohort
+	byClass map[int]*Cohort
 }
 
 // Bind implements Slot.
 func (s *pageSlot) Bind(local int, reqs []httpx.Request, sessions *session.Array, be Backend) Unit {
-	def := &s.w.defs[local]
-	pc, ok := s.byClass[def.BufferBytes]
+	class := s.w.defs[local].BufferBytes
+	c, ok := s.byClass[class]
 	if !ok {
-		pc = newPageCohort(s.w, s.dev, def.BufferBytes, s.size)
-		s.byClass[def.BufferBytes] = pc
+		c = s.w.NewCohort(s.dev, class, s.size, DeviceMode)
+		s.byClass[class] = c
 	}
-	pc.reset(def, len(reqs))
-	copy(pc.reqs, reqs)
-	return &pageUnit{pc: pc, dev: s.dev, sessions: sessions, be: be}
+	c.Reset(local, len(reqs))
+	copy(c.Reqs, reqs)
+	return &pageUnit{c: c, dev: s.dev, sessions: sessions, be: be}
 }
 
 // pageUnit is a bound cohort of one page-workload type.
 type pageUnit struct {
-	pc       *pageCohort
+	c        *Cohort
 	dev      *simt.Device
 	sessions *session.Array
 	be       Backend
 }
 
 // Stages implements Unit.
-func (u *pageUnit) Stages() int { return u.pc.def.Backends + 1 }
+func (u *pageUnit) Stages() int { return u.c.Def.Backends + 1 }
 
 // Stage implements Unit.
-func (u *pageUnit) Stage(k int) simt.Program {
-	if k < 0 || k > u.pc.def.Backends {
-		panic(fmt.Sprintf("service: stage %d out of range for %s", k, u.pc.def.Name))
-	}
-	return pageStageProgram{u: u, stage: k}
-}
+func (u *pageUnit) Stage(k int) simt.Program { return u.c.Stage(k, u.sessions, u.be) }
 
 // Writeback implements Unit: transpose the column-major responses to
 // row-major for extraction.
 func (u *pageUnit) Writeback(stream *simt.Stream) {
-	buf := u.pc.class
-	stream.TransposeLive(u.pc.respRow, u.pc.respCol, buf/4, u.pc.size, 4, buf/4, u.pc.count, nil)
+	c := u.c
+	stream.TransposeLive(c.RespRow, c.RespCol, c.class/wordSize, c.Size, wordSize, c.class/wordSize, c.Count, nil)
 }
 
 // Response implements Unit.
-func (u *pageUnit) Response(i int) []byte {
-	pc := u.pc
-	if i < 0 || i >= pc.count {
-		panic(fmt.Sprintf("service: response row %d out of range (count %d)", i, pc.count))
-	}
-	return u.dev.Mem.Read(pc.respRow+mem.Addr(i*pc.class), pc.class)
-}
+func (u *pageUnit) Response(i int) []byte { return u.c.Response(u.dev.Mem, i) }
 
 // Failed implements Unit.
 func (u *pageUnit) Failed(i int) bool {
-	ctx := u.pc.ctxs[i]
+	ctx := u.c.Ctxs[i]
 	return ctx != nil && ctx.Err != ""
 }
 
-// Column helpers — identical access shapes to banking's kernels.
-
+// columnBase returns the base address of request r's column in a
+// word-interleaved buffer starting at buf.
 func columnBase(buf mem.Addr, r int) mem.Addr { return buf + mem.Addr(wordSize*r) }
 
+// loadColumn reads n bytes of request r's column from a cohort buffer of
+// `rows` slots (n must be a multiple of wordSize).
 func loadColumn(t *simt.Thread, buf mem.Addr, r, rows, n int) []byte {
 	return t.LoadStrided(columnBase(buf, r), n/wordSize, wordSize, wordSize*rows)
 }
 
+// storeColumn writes data into request r's column starting at byte offset
+// start, issuing the word accesses a CUDA thread would: a partial leading
+// word, aligned middle words, and a partial trailing word. When every
+// lane's start matches (the padded, aligned case) the stores coalesce;
+// when starts diverge they scatter.
 func storeColumn(t *simt.Thread, buf mem.Addr, r, rows, start int, data []byte) {
 	if len(data) == 0 {
 		return
@@ -182,6 +248,23 @@ func storeColumn(t *simt.Thread, buf mem.Addr, r, rows, start int, data []byte) 
 	}
 }
 
+// storeRow writes data at byte offset start of request r's row-major slot
+// (slot size rowBytes), as the per-word loop a thread would execute —
+// the uncoalesced layout the transpose ablation measures.
+func storeRow(t *simt.Thread, buf mem.Addr, r, rowBytes, start int, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	addr := buf + mem.Addr(r*rowBytes+start)
+	n := len(data) / wordSize * wordSize
+	if n > 0 {
+		t.StoreStrided(addr, data[:n], wordSize, wordSize)
+	}
+	if n < len(data) {
+		t.Store(addr+mem.Addr(n), data[n:])
+	}
+}
+
 // writeColumnRaw writes data (a wordSize multiple) into request r's
 // column functionally, charging no memory traffic — it backs deferred
 // backend stores whose identical-shape cost a blank storeColumn already
@@ -198,65 +281,70 @@ func writeColumnRaw(m *mem.Memory, buf mem.Addr, r, rows int, data []byte) {
 	}
 }
 
-// pageStageProgram runs process stage `stage` for every live request of
-// the cohort. Blocks: 0 = session/context prologue; 1 = stage body;
-// 2 = on-device backend (deferred commit); 3 = response emission;
-// 90 = error path. Error requests diverge exactly as §4.4 describes.
-type pageStageProgram struct {
-	u     *pageUnit
-	stage int
+// stageProgram runs process stage `stage` for every live request of the
+// cohort. Blocks: 0 = session/context prologue; 1 = stage body (backend
+// request generation or page generation); 2 = on-device backend
+// (DeviceBackend mode only); 3 = response emission; 90 = error path.
+// Error requests diverge from the cohort exactly as §4.4 describes.
+type stageProgram struct {
+	c        *Cohort
+	stage    int
+	sessions *session.Array
+	be       Backend
 }
 
-func (p pageStageProgram) Name() string {
-	return fmt.Sprintf("rhythm_%s_%s_s%d", p.u.pc.w.name, p.u.pc.def.Name, p.stage)
+func (p stageProgram) Name() string {
+	return fmt.Sprintf("rhythm_%s_%s_s%d", p.c.w.name, p.c.Def.Name, p.stage)
 }
 
-func (pageStageProgram) Entry() simt.BlockID { return 0 }
+func (stageProgram) Entry() simt.BlockID { return 0 }
 
-// LaunchFootprint declares the shared host state a stage kernel touches
-// while executing: the group's session array, per the type's
-// SessionMode. All backend-store access happens inside Thread.Defer
-// (replayed serially at end-of-launch) and needs no declaration.
-// SessionCreates types conservatively declare a write at every stage —
-// the creating stage is workload code the kit cannot see into.
-func (p pageStageProgram) LaunchFootprint() simt.Footprint {
-	def := p.u.pc.def
+// LaunchFootprint declares the one piece of shared host state a stage
+// kernel touches while executing: the group's session array, per the
+// type's SessionMode. Cohort contexts, device columns and response
+// buffers are private to the launch's own cohort, and all backend-store
+// access happens inside Thread.Defer (replayed serially at
+// end-of-launch), so it needs no declaration (simt.Footprinter;
+// DESIGN.md §13). Types that create or end sessions conservatively
+// declare a write at every stage — the mutating stage is workload code
+// the kit cannot see into; the others read at the stage-0 lookup.
+func (p stageProgram) LaunchFootprint() simt.Footprint {
+	def := p.c.Def
 	switch {
-	case def.Session == SessionCreates:
-		return simt.Footprint{Writes: []any{p.u.sessions}}
-	case p.stage == 0 && (def.Session == SessionOptional || def.Session == SessionRequired):
-		return simt.Footprint{Reads: []any{p.u.sessions}}
+	case def.Session == SessionCreates || def.Session == SessionEnds:
+		return simt.Footprint{Writes: []any{p.sessions}}
+	case p.stage == 0 && def.resolvesSession():
+		return simt.Footprint{Reads: []any{p.sessions}}
 	}
 	return simt.Footprint{}
 }
 
-func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
-	u := p.u
-	pc := u.pc
-	def := pc.def
+func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
+	c := p.c
+	def := c.Def
 	r := t.ID
 	switch b {
 	case 0: // prologue: context / session resolution
 		if p.stage == 0 {
-			t.Atomic(pc.breqBuf)
+			t.Atomic(c.BReqBuf)
 			t.Compute(sessionOps)
-			ctx := &Ctx{Page: NewPageBuilder(pc.w.costs)}
-			pc.w.initCtx(ctx, def, &pc.reqs[r], u.sessions, true)
-			pc.ctxs[r] = ctx
-		} else if pc.ctxs[r].Done {
+			ctx := &Ctx{Page: &PageBuilder{}}
+			c.w.initCtx(ctx, def, &c.Reqs[r], p.sessions, c.mode.Padding)
+			c.Ctxs[r] = ctx
+		} else if c.Ctxs[r].Done {
 			// A variable-stage request already finished and emitted; its
-			// lane drops out of the remaining kernels.
+			// lane drops out of the rest of the cohort's kernels.
 			return simt.Halt
 		}
-		if pc.ctxs[r].Err != "" {
+		if c.Ctxs[r].Err != "" {
 			return 90
 		}
 		return 1
 	case 1: // stage body
-		ctx := pc.ctxs[r]
+		ctx := c.Ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = loadColumn(t, pc.brespBuf, r, pc.size, BackendResponseSlot)
+			bresp = loadColumn(t, c.BRespBuf, r, c.Size, BackendResponseSlot)
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -269,37 +357,43 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		if p.stage < def.Backends {
 			slot := make([]byte, BackendRequestSlot)
 			copy(slot, breq)
-			storeColumn(t, pc.breqBuf, r, pc.size, 0, slot)
-			return 2
+			storeColumn(t, c.BReqBuf, r, c.Size, 0, slot)
+			if c.mode.DeviceBackend {
+				return 2
+			}
+			return simt.Halt // host backend round trip follows
 		}
 		return 3
 	case 2: // on-device backend: price now, commit deferred
-		breq := loadColumn(t, pc.breqBuf, r, pc.size, BackendRequestSlot)
+		breq := loadColumn(t, c.BReqBuf, r, c.Size, BackendRequestSlot)
 		t.Compute(besimDeviceOps)
 		// The store's cost is content-independent (always the full
 		// slot), so price it with a blank slot and defer the execution:
-		// the store mutates shared state and must commit in canonical
+		// the backend mutates shared state and must commit in canonical
 		// serial order for the rendered bytes to match a serial run's.
 		// The response is only read by the NEXT stage kernel, so
-		// materializing it at end-of-launch is unobservable.
-		storeColumn(t, pc.brespBuf, r, pc.size, 0, make([]byte, BackendResponseSlot))
+		// materializing it at end-of-launch is unobservable. See
+		// DESIGN.md "Host parallelism".
+		storeColumn(t, c.BRespBuf, r, c.Size, 0, make([]byte, BackendResponseSlot))
 		m := t.Mem()
-		be := u.be
+		be := p.be
 		t.Defer(func() {
 			resp := be.Handle(breq)
 			slot := make([]byte, BackendResponseSlot)
 			copy(slot, resp)
-			writeColumnRaw(m, pc.brespBuf, r, pc.size, slot)
+			writeColumnRaw(m, c.BRespBuf, r, c.Size, slot)
 		})
-		return simt.Halt // next stage kernel reads brespBuf
+		return simt.Halt // next stage kernel reads BRespBuf
 	case 3: // final stage: render and emit
-		p.emit(t, r, pc.ctxs[r])
+		p.emit(t, r, c.Ctxs[r])
 		return simt.Halt
 	case 90: // error path (§4.4): divergent, full-size error page
 		if p.stage < def.Backends {
-			return simt.Halt // emission happens in the final stage kernel
+			// Skip the remaining backend stages; emission happens when
+			// the final stage kernel runs.
+			return simt.Halt
 		}
-		ctx := pc.ctxs[r]
+		ctx := c.Ctxs[r]
 		buildErrorPage(ctx)
 		p.chargeDelta(t, r)
 		p.emit(t, r, ctx)
@@ -310,21 +404,42 @@ func (p pageStageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 
 // chargeDelta charges the instructions the stage body accrued since the
 // previous boundary.
-func (p pageStageProgram) chargeDelta(t *simt.Thread, r int) {
-	pc := p.u.pc
-	now := pc.ctxs[r].Instr()
-	if d := now - pc.stageInstr[r]; d > 0 {
+func (p stageProgram) chargeDelta(t *simt.Thread, r int) {
+	c := p.c
+	now := c.Ctxs[r].Instr()
+	if d := now - c.stageInstr[r]; d > 0 {
 		t.Compute(int(d))
-		pc.stageInstr[r] = now
+		c.stageInstr[r] = now
 	}
 }
 
-// emit renders the full fixed-size response and stores it into the
-// column-major response buffer.
-func (p pageStageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
-	pc := p.u.pc
-	buf := pc.scratch.Get().([]byte)
-	defer pc.scratch.Put(buf)
-	resp := pc.w.Render(ctx, buf)
-	storeColumn(t, pc.respCol, r, pc.size, 0, resp)
+// emit renders the full fixed-size response and stores it section by
+// section, splitting at the page's alignment marks. With padding on and
+// budgeted sections every lane's marks coincide and the stores coalesce;
+// with padding off they drift and scatter (§4.3.2).
+func (p stageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
+	c := p.c
+	buf := c.scratch.Get().([]byte)
+	defer c.scratch.Put(buf)
+	resp := c.w.Render(ctx, buf)
+	lo := 0
+	for _, m := range ctx.Page.Marks() {
+		hi := c.Def.headerLen + m
+		p.storeSection(t, r, resp, lo, hi)
+		lo = hi
+	}
+	p.storeSection(t, r, resp, lo, len(resp))
+}
+
+// storeSection stores resp[lo:hi] into request r's response slot.
+func (p stageProgram) storeSection(t *simt.Thread, r int, resp []byte, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	c := p.c
+	if c.mode.ColumnMajor {
+		storeColumn(t, c.RespCol, r, c.Size, lo, resp[lo:hi])
+	} else {
+		storeRow(t, c.RespRow, r, c.class, lo, resp[lo:hi])
+	}
 }

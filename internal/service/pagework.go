@@ -25,6 +25,7 @@ type PageWorkload struct {
 	classify   func(req *httpx.Request) (int, bool)
 	affinity   func(req *httpx.Request, local int, buckets int) int
 	static     func(path string) ([]byte, bool)
+	errorPage  func(ctx *Ctx)
 }
 
 // PageWorkloadConfig declares a page workload.
@@ -48,6 +49,10 @@ type PageWorkloadConfig struct {
 	Affinity func(req *httpx.Request, local int, buckets int) int
 	// Static optionally serves workload static assets.
 	Static func(path string) ([]byte, bool)
+	// ErrorPage optionally builds the body of the divergent error page
+	// (§4.4) into ctx.Page, which arrives reset; ctx.Err holds the
+	// reason. Nil renders a generic page titled with the workload name.
+	ErrorPage func(ctx *Ctx)
 }
 
 // NewPageWorkload validates cfg and builds the workload.
@@ -72,6 +77,7 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		classify:   cfg.Classify,
 		affinity:   cfg.Affinity,
 		static:     cfg.Static,
+		errorPage:  cfg.ErrorPage,
 	}
 	for i := range w.defs {
 		def := &w.defs[i]
@@ -84,6 +90,7 @@ func NewPageWorkload(cfg PageWorkloadConfig) *PageWorkload {
 		if def.Cacheable && def.Session == SessionNone {
 			panic(fmt.Sprintf("service: %s/%s cacheable without session identity", cfg.Name, def.Name))
 		}
+		def.local = i
 		def.headerLen = w.headerLen(def)
 		if def.Path != "" {
 			if _, dup := w.byPath[def.Path]; dup {
@@ -170,11 +177,7 @@ func (w *PageWorkload) ExecuteHost(local int, req *httpx.Request, sessions *sess
 // Execute runs one request through every stage against a local backend
 // and returns the finished ctx (the host/validator entry point).
 func (w *PageWorkload) Execute(local int, req *httpx.Request, sessions *session.Array, be Backend, padding bool) *Ctx {
-	def := &w.defs[local]
-	ctx := &Ctx{Page: NewPageBuilder(w.costs)}
-	w.initCtx(ctx, def, req, sessions, padding)
-	runStages(def, ctx, func(breq []byte) []byte { return be.Handle(breq) })
-	return ctx
+	return NewScratch().Execute(w, local, req, sessions, be, padding)
 }
 
 // classes lists the distinct response-buffer classes, ascending-free
@@ -205,5 +208,5 @@ func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 
 // NewSlot implements Workload.
 func (w *PageWorkload) NewSlot(dev *simt.Device, cohortSize int) Slot {
-	return &pageSlot{w: w, dev: dev, size: cohortSize, byClass: make(map[int]*pageCohort)}
+	return &pageSlot{w: w, dev: dev, size: cohortSize, byClass: make(map[int]*Cohort)}
 }

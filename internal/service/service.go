@@ -54,9 +54,7 @@ type Spec struct {
 	// Name is the workload-local type name (e.g. "login", "browse").
 	Name string
 	// Display is the registry-wide label used for stats keys, metric
-	// label values, flight records, and trace types: "workload/name",
-	// except for a workload registered with bare display names (banking,
-	// for backward compatibility with pre-registry label sets).
+	// label values, flight records, and trace types: "workload/name".
 	Display string
 	// Path is the classified request path ("" when the workload
 	// classifies by other means).
@@ -158,14 +156,6 @@ type Unit interface {
 	Failed(i int) bool
 }
 
-// bareNamer is an optional Workload extension: a workload whose Display
-// labels are its bare local names (no "workload/" prefix). Banking
-// implements it so every pre-registry label, stats key, and flight type
-// stays valid (the schema_version 3→4 legacy aliases).
-type bareNamer interface {
-	BareDisplayNames() bool
-}
-
 // Registry fuses registered workloads into one dense TypeID space.
 // Registration order is significant: it fixes GID assignment (and
 // therefore stats/metrics ordering), and the first workload occupies
@@ -199,10 +189,6 @@ func NewRegistry(ws ...Workload) *Registry {
 		}
 		r.byName[name] = i
 		r.base = append(r.base, len(r.specs))
-		bare := false
-		if bn, ok := w.(bareNamer); ok {
-			bare = bn.BareDisplayNames()
-		}
 		for local, sp := range w.Types() {
 			if sp.Name == "" {
 				panic(fmt.Sprintf("service: %s type %d has no name", name, local))
@@ -213,11 +199,7 @@ func NewRegistry(ws ...Workload) *Registry {
 			sp.Workload = name
 			sp.Local = local
 			sp.GID = TypeID(len(r.specs))
-			if bare {
-				sp.Display = sp.Name
-			} else {
-				sp.Display = name + "/" + sp.Name
-			}
+			sp.Display = name + "/" + sp.Name
 			if _, dup := r.byDisplay[sp.Display]; dup {
 				panic(fmt.Sprintf("service: duplicate display label %q", sp.Display))
 			}

@@ -2,7 +2,7 @@ package simt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rhythm/internal/mem"
 )
@@ -262,7 +262,7 @@ func uniqueSegs(segs []mem.Addr) int64 {
 	if len(segs) == 0 {
 		return 0
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 	var n int64 = 1
 	for i := 1; i < len(segs); i++ {
 		if segs[i] != segs[i-1] {

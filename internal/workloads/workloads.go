@@ -1,9 +1,8 @@
 // Package workloads assembles the default workload registry: banking
-// first (so its workload-qualified type ids and bare display labels
-// equal the pre-registry universe), then the e-commerce and
-// streaming-telemetry workloads. Everything above the service contract
-// — servers, harnesses, CLIs — gets its registry here or builds a
-// restricted one with Named.
+// first (so its workload-qualified type ids equal its ReqType values),
+// then the e-commerce and streaming-telemetry workloads. Everything
+// above the service contract — servers, harnesses, CLIs — gets its
+// registry here or builds a restricted one with Named.
 package workloads
 
 import (
@@ -23,7 +22,7 @@ var Names = []string{"banking", "ecom", "telemetry"}
 func newByName(name string) (service.Workload, error) {
 	switch name {
 	case "banking":
-		return banking.NewWorkload(), nil
+		return banking.Workload, nil
 	case "ecom":
 		return ecom.New(), nil
 	case "telemetry":
@@ -41,8 +40,8 @@ func Default() *service.Registry {
 	return r
 }
 
-// Banking builds a banking-only registry (the pre-registry serving
-// universe; also what label-compatibility tests pin against).
+// Banking builds a banking-only registry (the serving universe of the
+// banking-only studies).
 func Banking() *service.Registry {
 	r, err := Named("banking")
 	if err != nil {

@@ -27,17 +27,16 @@ import (
 // (DESIGN.md §15). Version 4 namespaces the per-type stats by workload
 // (DESIGN.md §16): the documents gain a "workloads" list, per-type
 // sections gain a "workload" field, and per-type Prometheus families
-// carry a `workload` label. Banking's type labels stay bare ("login",
-// not "banking/login") as the legacy aliases, so every version-3
-// dashboard keeps working against a banking-only or default registry.
-// Version 5 adds the device-fabric topology (DESIGN.md §17): a
-// "transport" kind, per-node "nodes" rows, node failover / link
-// saturation counters, per-workload "workload_sheds", and the
-// /v1/topology endpoint.
-const StatsSchemaVersion = 5
+// carry a `workload` label. Version 5 adds the device-fabric topology
+// (DESIGN.md §17): a "transport" kind, per-node "nodes" rows, node
+// failover / link saturation counters, per-workload "workload_sheds",
+// and the /v1/topology endpoint. Version 6 retires banking's bare
+// legacy labels: every type label is workload-qualified
+// ("banking/login", like "ecom/browse").
+const StatsSchemaVersion = 6
 
-// DefaultRegistry builds the process-default workload registry: banking
-// (bare legacy labels), then e-commerce, then streaming telemetry.
+// DefaultRegistry builds the process-default workload registry: banking,
+// then e-commerce, then streaming telemetry.
 // Servers built without an explicit registry use this one.
 func DefaultRegistry() *service.Registry { return workloads.Default() }
 

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rhythm/internal/backend"
-	"rhythm/internal/banking"
 	"rhythm/internal/flight"
 	"rhythm/internal/httpx"
 	"rhythm/internal/obs"
@@ -21,24 +19,20 @@ import (
 // TCPServer serves the registered workloads over a real TCP listener
 // using the host execution path — the same service code the device
 // kernels run, so responses are identical. It is the shared frontend
-// plus the host executor: lock, then banking's zero-copy arena path or
-// the registry's scalar host surface.
+// plus the host executor: lock, execute, render into the connection
+// arena.
 type TCPServer struct {
 	*frontend
 
 	// bes holds one backend store per workload (this server is a single
-	// shard group); bankIdx is banking's workload index (-1 when banking
-	// is not registered), whose requests take the zero-copy arena fast
-	// path.
-	bes     []service.Backend
-	bankIdx int
+	// shard group).
+	bes []service.Backend
 
 	// mu guards the workload state (backends + sessions are
 	// single-writer by design). It is held only across Execute — never
 	// across connection I/O — so a slow client can't serialize the server
 	// (request parsing and page rendering run lock-free).
 	mu       sync.Mutex
-	db       *backend.DB // banking's backend store (nil without banking)
 	sessions *session.Array
 	// failed counts executions that reported a service error; typeCounts
 	// counts executions per type (rhythm_requests_total).
@@ -59,18 +53,10 @@ func NewTCPServerFor(reg *service.Registry, maxSessions int) *TCPServer {
 	}
 	s := &TCPServer{
 		bes:        reg.NewBackends(),
-		bankIdx:    -1,
 		sessions:   session.NewArray(256, maxSessions/256*4+4),
 		typeCounts: make([]atomic.Uint64, reg.NumTypes()),
 	}
 	s.frontend = newFrontend(s, reg, frontendConfig{mode: "host", arenaOut: reg.MaxBufferBytes()})
-	for i, w := range reg.Workloads() {
-		if w.Name() == "banking" {
-			if db, ok := s.bes[i].(*backend.DB); ok {
-				s.bankIdx, s.db = i, db
-			}
-		}
-	}
 	return s
 }
 
@@ -118,22 +104,22 @@ func (s *TCPServer) execute(a *connArena, t service.TypeID, slot cacheSlot) ([]b
 	a.frec.HostExec = true
 	a.frec.Attempts = 1
 
-	// Banking requests run the zero-copy arena fast path (scratch ctx +
-	// reused render buffer); other workloads execute through the
-	// registry's scalar host surface, which allocates its response.
+	// Page workloads run the zero-copy arena path (scratch ctx + reused
+	// render buffer); any other workload executes through the registry's
+	// scalar host surface, which allocates its response.
 	var (
 		resp     []byte
 		failed   bool
 		executed time.Time
 	)
-	if s.reg.WorkloadIndex(t) == s.bankIdx {
-		bt := banking.ReqType(s.reg.Spec(t).Local)
+	wi := s.reg.WorkloadIndex(t)
+	if pw, ok := s.reg.Workloads()[wi].(*service.PageWorkload); ok {
 		s.mu.Lock()
-		ctx := a.scratch.Execute(banking.ServiceFor(bt), &a.req, s.sessions, s.db, true)
+		ctx := a.scratch.Execute(pw, s.reg.Spec(t).Local, &a.req, s.sessions, s.bes[wi], true)
 		s.mu.Unlock()
 		executed = time.Now()
 		failed = ctx.Err != ""
-		resp = banking.Render(ctx, a.out[:ctx.Spec.BufferBytes()])
+		resp = pw.Render(ctx, a.out[:ctx.Def.BufferBytes])
 	} else {
 		s.mu.Lock()
 		resp, failed = s.reg.ExecuteHost(t, &a.req, s.sessions, s.bes)

@@ -235,7 +235,7 @@ func TestCohortServerMixedWorkloadDifferential(t *testing.T) {
 		t.Fatalf("stats workloads = %v, want %v", st.Workloads, want)
 	}
 	for name, wantWorkload := range map[string]string{
-		"login":            "banking", // banking keeps its bare legacy labels
+		"banking/login":    "banking",
 		"ecom/cart_add":    "ecom",
 		"telemetry/poll":   "telemetry",
 		"telemetry/ingest": "telemetry",
