@@ -271,6 +271,27 @@ func TestGeneratedRequestsFitSlot(t *testing.T) {
 	}
 }
 
+// TestGeneratorOutlivesFullSessionArray: once logins the generator never
+// logs out have filled the session array, generating logouts keeps
+// working on the existing pool instead of panicking, and the pool keeps
+// its size.
+func TestGeneratorOutlivesFullSessionArray(t *testing.T) {
+	sessions := session.NewArray(4, 4)
+	gen := NewGenerator(7, sessions)
+	gen.Populate(8)
+	for uid := uint64(1); sessions.Len() < sessions.Capacity(); uid++ {
+		sessions.Create(uid) // the server's login sessions
+	}
+	for i := 0; i < 50; i++ {
+		if raw := gen.Request(Logout); !strings.Contains(string(raw), "Cookie: MY_ID=") {
+			t.Fatalf("logout %d carries no session cookie: %q", i, raw)
+		}
+	}
+	if gen.LiveSessions() != 8 {
+		t.Fatalf("generator pool shrank to %d sessions, want 8", gen.LiveSessions())
+	}
+}
+
 func TestByPath(t *testing.T) {
 	if _, ok := ByPath("/favicon.ico"); ok {
 		t.Fatal("unknown path resolved")

@@ -35,19 +35,23 @@ func NewGenerator(seed int64, sessions *session.Array) *Generator {
 // the paper's 16M active sessions at harness scale.
 func (g *Generator) Populate(n int) {
 	for i := 0; i < n; i++ {
-		g.addSession()
+		sid, ok := g.newSession()
+		if !ok {
+			panic("banking: session array exhausted while populating")
+		}
+		g.sids = append(g.sids, sid)
 	}
 }
 
-func (g *Generator) addSession() {
+// newSession creates a live session for a random user id. It reports
+// false when every bucket it tried was full.
+func (g *Generator) newSession() (session.ID, bool) {
 	for tries := 0; tries < 100; tries++ {
-		uid := g.randomUID()
-		if sid, ok := g.sessions.Create(uid); ok {
-			g.sids = append(g.sids, sid)
-			return
+		if sid, ok := g.sessions.Create(g.randomUID()); ok {
+			return sid, true
 		}
 	}
-	panic("banking: session array exhausted while populating")
+	return 0, false
 }
 
 func (g *Generator) randomUID() uint64 {
@@ -66,18 +70,27 @@ func (g *Generator) pickSID() session.ID {
 	return g.sids[g.rng.Intn(len(g.sids))]
 }
 
-// takeSID removes and returns a random live session id (for logout) and
-// replenishes the pool with a fresh session so isolation runs can
-// continue indefinitely.
+// takeSID returns a random live session id (for logout) and replaces
+// it in the pool with a fresh session so isolation runs can continue
+// indefinitely.
 func (g *Generator) takeSID() session.ID {
 	if len(g.sids) == 0 {
 		panic("banking: generator has no live sessions; call Populate first")
 	}
 	i := g.rng.Intn(len(g.sids))
 	sid := g.sids[i]
-	g.sids[i] = g.sids[len(g.sids)-1]
-	g.sids = g.sids[:len(g.sids)-1]
-	g.addSession()
+	fresh, ok := g.newSession()
+	if !ok {
+		// The array is full: the sessions the server creates for
+		// logins, which no generated request logs out, fill it on long
+		// runs. The id stays in the pool, so once its logout is served
+		// the requests that draw it take the session-required error
+		// path, like a client whose session has expired.
+		return sid
+	}
+	last := len(g.sids) - 1
+	g.sids[i] = g.sids[last]
+	g.sids[last] = fresh
 	return sid
 }
 

@@ -26,8 +26,11 @@ const wordSize = 4
 // fills (the paper synchronizes host and device cohort contexts at the
 // parser, §4.1).
 type ParseBatch struct {
-	Buf    mem.Addr // Size × RequestSlot, row-major as it arrives from the NIC
-	ColBuf mem.Addr // word-interleaved copy the parser reads in ColMajor mode
+	Buf mem.Addr // Size × RequestSlot, row-major as it arrives from the NIC
+	// ColBuf is the word-interleaved request buffer the parser reads in
+	// ColMajor mode. Only its addresses are used, to charge the parser's
+	// strided loads; the bytes stay in their row-major home Buf.
+	ColBuf mem.Addr
 	Size   int
 	Count  int
 	Reqs   []httpx.Request
@@ -125,7 +128,8 @@ func (p parserProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 	case b == 0: // scan the raw request
 		var raw []byte
 		if p.args.ColMajor {
-			raw = t.LoadStrided(pb.ColBuf+mem.Addr(wordSize*r), RequestSlot/wordSize, wordSize, wordSize*pb.Size)
+			t.AccessStrided(pb.ColBuf+mem.Addr(wordSize*r), RequestSlot/wordSize, wordSize, wordSize*pb.Size)
+			raw = t.Mem().Bytes(pb.Buf+mem.Addr(r*RequestSlot), RequestSlot)
 		} else {
 			raw = t.Load(pb.Buf+mem.Addr(r*RequestSlot), RequestSlot)
 		}

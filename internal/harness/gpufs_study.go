@@ -59,6 +59,7 @@ type checkImageKernel struct {
 	fs      *gpufs.FS
 	ids     []gpufs.FileID // file per request
 	respCol mem.Addr
+	respRow mem.Addr
 	size    int // cohort slots
 	buf     int // response buffer bytes per request
 }
@@ -73,15 +74,21 @@ func (k checkImageKernel) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		return 1
 	case 1: // read the image from the GPUfs cache and emit the response
 		img := k.fs.ReadAt(t, k.ids[t.ID], 0, checkImageBytes)
-		resp := make([]byte, k.buf)
-		n := copy(resp, checkImageHeader)
-		copy(resp[n:], img)
-		t.Compute(len(resp) / 16) // emission loop
-		stride := 4 * k.size
-		t.StoreStrided(k.respCol+mem.Addr(4*t.ID), resp, 4, stride)
+		emitCheckImage(t, img, k.respCol, k.respRow, k.size, k.buf)
 		return simt.Halt
 	}
 	panic("bad block")
+}
+
+// emitCheckImage writes thread t's response (header + image, zero
+// filled to buf bytes) to its row-major home slot in respRow and
+// charges the column-major store into respCol.
+func emitCheckImage(t *simt.Thread, img []byte, respCol, respRow mem.Addr, size, buf int) {
+	resp := t.Mem().Bytes(respRow+mem.Addr(t.ID*buf), buf)
+	n := copy(resp, checkImageHeader)
+	clear(resp[n+copy(resp[n:], img):])
+	t.Compute(buf / 16) // emission loop
+	t.AccessStrided(respCol+mem.Addr(4*t.ID), buf/4, 4, 4*size)
 }
 
 func runCheckImages(size, cohorts int, resident bool, faults *uint64) float64 {
@@ -122,9 +129,9 @@ func runCheckImages(size, cohorts int, resident bool, faults *uint64) float64 {
 			for r := range reqIDs {
 				reqIDs[r] = ids[(c*size+r)%checkImageCount]
 			}
-			stream.Launch(checkImageKernel{fs: fs, ids: reqIDs, respCol: respCol, size: size, buf: bufBytes},
+			stream.Launch(checkImageKernel{fs: fs, ids: reqIDs, respCol: respCol, respRow: respRow, size: size, buf: bufBytes},
 				size, nil, nil)
-			stream.Transpose(respRow, respCol, bufBytes/4, size, 4, nil)
+			stream.Transpose(bufBytes/4, size, 4, nil)
 		} else {
 			// Disk-bound path: every request faults its image from the
 			// host SSD, then the batch is DMA'd and emitted.
@@ -141,13 +148,9 @@ func runCheckImages(size, cohorts int, resident bool, faults *uint64) float64 {
 						stream.Launch(simt.FuncProgram{Label: "check_images_host", Body: func(t *simt.Thread) {
 							t.Compute(1200)
 							img := t.Load(stage+mem.Addr(t.ID*checkImageBytes), checkImageBytes)
-							resp := make([]byte, bufBytes)
-							n := copy(resp, checkImageHeader)
-							copy(resp[n:], img)
-							t.Compute(len(resp) / 16)
-							t.StoreStrided(respCol+mem.Addr(4*t.ID), resp, 4, 4*size)
+							emitCheckImage(t, img, respCol, respRow, size, bufBytes)
 						}}, size, nil, nil)
-						stream.Transpose(respRow, respCol, bufBytes/4, size, 4, nil)
+						stream.Transpose(bufBytes/4, size, 4, nil)
 					}
 				})
 			}

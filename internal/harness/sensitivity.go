@@ -97,7 +97,7 @@ func parseOnce(cfg Config, mixed bool) (latUs, tput float64, divergent int64) {
 	pb.Reset(cfg.CohortSize)
 	stream := dev.NewStream()
 	stream.MemcpyH2D(pb.Buf, banking.PackRequests(raws), nil)
-	stream.Transpose(pb.ColBuf, pb.Buf, pb.Size, banking.RequestSlot/4, 4, nil)
+	stream.Transpose(pb.Size, banking.RequestSlot/4, 4, nil)
 	start := eng.Now()
 	var ls simt.LaunchStats
 	stream.Launch(banking.NewParserProgram(banking.ParserArgs{Batch: pb, ColMajor: true}), cfg.CohortSize, nil,

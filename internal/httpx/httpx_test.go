@@ -180,6 +180,23 @@ func TestResponseWriterPadTo(t *testing.T) {
 	if string(body) != "xy        " {
 		t.Fatalf("body = %q", body)
 	}
+
+	// A pad longer than the whitespace run PadTo copies from, and a
+	// zero-length pad, fill exactly as far as the target.
+	long := make([]byte, 4096)
+	w = NewResponseWriter(long)
+	w.WriteString("ab")
+	w.PadTo(3000)
+	w.PadTo(3000)
+	if w.Len() != 3000 {
+		t.Fatalf("Len = %d after long pad, want 3000", w.Len())
+	}
+	if want := "ab" + strings.Repeat(" ", 2998); string(long[:3000]) != want {
+		t.Fatal("long pad did not fill with spaces")
+	}
+	if !bytes.Equal(long[3000:], make([]byte, len(long)-3000)) {
+		t.Fatal("pad wrote past its target")
+	}
 }
 
 func TestResponseWriterPadToBackwardPanics(t *testing.T) {

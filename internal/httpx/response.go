@@ -12,6 +12,9 @@ import (
 // length (§4.3.2 "Whitespace Padding in HTML Headers").
 const ContentLengthPad = 10
 
+// spaces is the whitespace run PadTo copies from.
+var spaces = bytes.Repeat([]byte{' '}, 512)
+
 // ResponseWriter builds an HTTP response into a caller-provided buffer
 // without allocation. It implements the paper's single-pass header+body
 // generation: the Content-Length field is emitted as padding spaces and
@@ -112,8 +115,7 @@ func (w *ResponseWriter) PadTo(target int) {
 		panic(fmt.Sprintf("httpx: PadTo(%d) but already at %d", target, w.n))
 	}
 	for w.n < target {
-		w.buf[w.n] = ' '
-		w.n++
+		w.n += copy(w.buf[w.n:target], spaces)
 	}
 }
 

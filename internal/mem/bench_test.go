@@ -2,34 +2,6 @@ package mem
 
 import "testing"
 
-func BenchmarkTranspose(b *testing.B) {
-	const rows, cols = 4096, 8192 // one 32 MB cohort buffer at word grain
-	m := New(2*rows*cols + 256)
-	src := m.Alloc(rows*cols, 128)
-	dst := m.Alloc(rows*cols, 128)
-	s := m.Bytes(src, rows*cols)
-	for i := range s {
-		s[i] = byte(i)
-	}
-	b.SetBytes(int64(rows * cols))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Transpose(m, dst, src, rows, cols)
-	}
-}
-
-func BenchmarkTransposeElems4(b *testing.B) {
-	const rows, cols, elem = 4096, 2048, 4
-	m := New(2*rows*cols*elem + 256)
-	src := m.Alloc(rows*cols*elem, 128)
-	dst := m.Alloc(rows*cols*elem, 128)
-	b.SetBytes(int64(rows * cols * elem))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TransposeElems(m, dst, src, rows, cols, elem)
-	}
-}
-
 func BenchmarkPoolGetPut(b *testing.B) {
 	m := New(1 << 22)
 	p := NewPool(m, 64, 4096, 256)

@@ -1,8 +1,8 @@
 // Package mem models the accelerator's device memory: a flat linear
 // address space backed by real bytes, preallocated pools that are recycled
 // across cohorts (the paper allocates all pipeline memory at startup,
-// §4.6), and the 2-D buffer transpose between row-major and column-major
-// layouts that gives Rhythm coalesced accesses (§4.3.2).
+// §4.6), and the cost of the 2-D buffer transpose between row-major and
+// column-major layouts that gives Rhythm coalesced accesses (§4.3.2).
 package mem
 
 import "fmt"
@@ -10,15 +10,18 @@ import "fmt"
 // Addr is a device virtual address (byte offset into device memory).
 type Addr uint64
 
-// Memory is a flat device memory. All kernel loads and stores resolve into
-// it, so responses generated "on the device" are real bytes that can be
-// validated.
+// Memory is a flat device memory holding the bytes kernels produce, so
+// responses generated "on the device" are real bytes that can be
+// validated. It is the functional half of the device model only: a
+// column-major cohort buffer's bytes live in a row-major home buffer
+// (each request's slot contiguous), while the column-major addresses
+// appear only in the access records the timing model coalesces.
 //
 // Concurrency contract (simt.Config.HostParallelism > 1): concurrently
 // simulated warps may Read/Write/Bytes disjoint byte ranges of the data
 // without synchronization — Rhythm's cohort buffers are partitioned
-// per-thread (row slots or word-interleaved columns), so kernel accesses
-// never overlap across threads. Alloc (which moves brk) and any
+// per-thread (one row slot each), so kernel accesses never overlap
+// across threads. Alloc (which moves brk) and any
 // overlapping access are host-side operations and must only happen from
 // the event-loop thread, i.e. outside a running kernel.
 type Memory struct {

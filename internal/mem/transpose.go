@@ -1,121 +1,12 @@
 package mem
 
-// Transpose converts a cohort's buffers between row-major layout (each
-// request's buffer contiguous — what the NIC wants) and column-major
-// layout (thread buffers interleaved in the sequential address space —
-// what coalesced SIMT access wants). The paper views the per-cohort
-// buffers as a rows×cols 2-D byte array and transposes it on the way in
-// and out of the device (§4.3.2, Figure 6).
-//
-// src and dst address rows*cols bytes each and must not overlap.
-// Element (r, c) of src (row-major) lands at (c, r) of dst, i.e.
-// dst[c*rows+r] = src[r*cols+c].
-func Transpose(m *Memory, dst, src Addr, rows, cols int) {
-	if rows <= 0 || cols <= 0 {
-		panic("mem: transpose dimensions must be positive")
-	}
-	n := rows * cols
-	s := m.Bytes(src, n)
-	d := m.Bytes(dst, n)
-	if overlaps(src, dst, n) {
-		panic("mem: transpose buffers overlap")
-	}
-	// Blocked transpose: the tiling mirrors the shared-memory tile scheme
-	// of the CUDA transpose the paper cites [48] and keeps both arrays'
-	// accesses within cache lines on the host.
-	const tile = 32
-	for r0 := 0; r0 < rows; r0 += tile {
-		rmax := min(r0+tile, rows)
-		for c0 := 0; c0 < cols; c0 += tile {
-			cmax := min(c0+tile, cols)
-			for r := r0; r < rmax; r++ {
-				row := s[r*cols : r*cols+cols]
-				for c := c0; c < cmax; c++ {
-					d[c*rows+r] = row[c]
-				}
-			}
-		}
-	}
-}
-
-// TransposeElems transposes a rows×cols matrix of elem-byte elements.
-// Rhythm interleaves cohort buffers at 4-byte-word granularity so that a
-// warp's lanes touch adjacent words; this is the word-level variant of
-// Transpose. src and dst address rows*cols*elem bytes and must not
-// overlap. Element (r, c) of src lands at (c, r) of dst.
-func TransposeElems(m *Memory, dst, src Addr, rows, cols, elem int) {
-	if elem == 1 {
-		Transpose(m, dst, src, rows, cols)
-		return
-	}
-	if rows <= 0 || cols <= 0 || elem <= 0 {
-		panic("mem: transpose dimensions must be positive")
-	}
-	n := rows * cols * elem
-	s := m.Bytes(src, n)
-	d := m.Bytes(dst, n)
-	if overlaps(src, dst, n) {
-		panic("mem: transpose buffers overlap")
-	}
-	const tile = 32
-	for r0 := 0; r0 < rows; r0 += tile {
-		rmax := min(r0+tile, rows)
-		for c0 := 0; c0 < cols; c0 += tile {
-			cmax := min(c0+tile, cols)
-			for r := r0; r < rmax; r++ {
-				for c := c0; c < cmax; c++ {
-					copy(d[(c*rows+r)*elem:(c*rows+r+1)*elem], s[(r*cols+c)*elem:(r*cols+c+1)*elem])
-				}
-			}
-		}
-	}
-}
-
-// TransposeElemsRange transposes only the [0,liveRows)×[0,liveCols)
-// corner of a rows×cols element matrix, leaving the rest of dst
-// untouched. Rhythm's cohort buffers have fixed geometry, so a partially
-// filled cohort only has live data in its first `count` rows or columns;
-// hardware would still stream the whole buffer (charge accordingly) but
-// the simulation need only move the meaningful bytes.
-func TransposeElemsRange(m *Memory, dst, src Addr, rows, cols, elem, liveRows, liveCols int) {
-	if liveRows == rows && liveCols == cols {
-		TransposeElems(m, dst, src, rows, cols, elem)
-		return
-	}
-	if rows <= 0 || cols <= 0 || elem <= 0 || liveRows < 0 || liveCols < 0 || liveRows > rows || liveCols > cols {
-		panic("mem: bad transpose range")
-	}
-	n := rows * cols * elem
-	s := m.Bytes(src, n)
-	d := m.Bytes(dst, n)
-	if overlaps(src, dst, n) {
-		panic("mem: transpose buffers overlap")
-	}
-	const tile = 32
-	for r0 := 0; r0 < liveRows; r0 += tile {
-		rmax := min(r0+tile, liveRows)
-		for c0 := 0; c0 < liveCols; c0 += tile {
-			cmax := min(c0+tile, liveCols)
-			for r := r0; r < rmax; r++ {
-				for c := c0; c < cmax; c++ {
-					copy(d[(c*rows+r)*elem:(c*rows+r+1)*elem], s[(r*cols+c)*elem:(r*cols+c+1)*elem])
-				}
-			}
-		}
-	}
-}
-
-func overlaps(a, b Addr, n int) bool {
-	return a < b+Addr(n) && b < a+Addr(n)
-}
-
-// TransposeBytes computes the bytes moved by a transpose of rows*cols:
-// one read and one write of every byte. Used by the device cost model.
+// TransposeBytes computes the bytes moved by a transpose of rows*cols
+// bytes: one read and one write of every byte. The paper views a
+// cohort's buffers as a rows×cols 2-D byte array and transposes it
+// between row-major (what the NIC wants) and column-major
+// (word-interleaved, what coalesced SIMT access wants) on the way in
+// and out of the device (§4.3.2, Figure 6). The simulator only prices
+// that transpose: cohort bytes stay row-major throughout and the
+// column-major layout exists in the timing model alone (see
+// simt.Stream.Transpose).
 func TransposeBytes(rows, cols int) int { return 2 * rows * cols }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -363,9 +363,8 @@ func (s *Server) feedReader() {
 	if s.opts.ColumnMajor {
 		// In-device transpose of the arrival image to the
 		// word-interleaved layout the parser reads (§4.3.2 "request
-		// buffer transpose"). Only the first `count` slots hold data.
-		rb.stream.TransposeLive(rb.pb.ColBuf, rb.pb.Buf, rb.pb.Size, banking.RequestSlot/4, 4,
-			count, banking.RequestSlot/4, nil)
+		// buffer transpose"), charged over the batch's full geometry.
+		rb.stream.Transpose(rb.pb.Size, banking.RequestSlot/4, 4, nil)
 	}
 	args := banking.ParserArgs{Batch: rb.pb, ColMajor: s.opts.ColumnMajor}
 	rb.stream.Launch(banking.NewParserProgram(args), count, nil, func(simt.LaunchStats) {
@@ -463,13 +462,13 @@ func (s *Server) runCohort(c *cohort.Context[preq]) {
 
 // hostBackend performs one remote-backend round trip for a cohort:
 // transpose + D2H of the request slots, host execution on worker
-// threads, H2D + transpose of the responses (§5.3.2, Titan A). With a
-// straggler timeout configured, the cohort proceeds when the deadline
-// passes and any unfinished requests are re-executed entirely on the
-// host (§3.1).
+// threads, H2D + transpose of the responses (§5.3.2, Titan A). The
+// transposes only charge time: the slots' bytes already live row-major
+// in BReqRow/BRespRow, which the copies move. With a straggler timeout
+// configured, the cohort proceeds when the deadline passes and any
+// unfinished requests are re-executed entirely on the host (§3.1).
 func (s *Server) hostBackend(c *cohort.Context[preq], dc *service.Cohort, stream *simt.Stream, count int, stragglers map[int]bool, done func()) {
-	stream.TransposeLive(dc.BReqRow, dc.BReqBuf, backend.RequestSlot/4, dc.Size, 4,
-		backend.RequestSlot/4, count, nil)
+	stream.Transpose(backend.RequestSlot/4, dc.Size, 4, nil)
 	stream.MemcpyD2H(dc.BReqRow, count*backend.RequestSlot, func(image []byte) {
 		proceeded := false
 		remaining := count
@@ -481,8 +480,7 @@ func (s *Server) hostBackend(c *cohort.Context[preq], dc *service.Cohort, stream
 			}
 			proceeded = true
 			stream.MemcpyH2D(dc.BRespRow, respImage, nil)
-			stream.TransposeLive(dc.BRespBuf, dc.BRespRow, dc.Size, backend.ResponseSlot/4, 4,
-				count, backend.ResponseSlot/4, nil)
+			stream.Transpose(dc.Size, backend.ResponseSlot/4, 4, nil)
 			stream.Barrier(done)
 		}
 		for r := 0; r < count; r++ {
@@ -563,20 +561,14 @@ func (s *Server) shedStraggler(c *cohort.Context[preq], dc *service.Cohort, r in
 
 // respond runs the Response stage: transpose the cohort's responses back
 // to row-major (on-device for Titan A/B, offloaded for Titan C), ship
-// them, record latencies, and free the cohort context.
+// them, record latencies, and free the cohort context. The responses'
+// bytes are already row-major in RespRow, so the transpose only charges
+// time — and Titan C's specialized unit (NIC / memory-controller logic)
+// costs no device time at all.
 func (s *Server) respond(c *cohort.Context[preq], dc *service.Cohort, stream *simt.Stream, count int, stragglers map[int]bool) {
 	buf := dc.Def.BufferBytes
-	if s.opts.ColumnMajor {
-		if s.opts.OffloadResponseTranspose {
-			// Titan C: a specialized unit (NIC / memory-controller logic)
-			// performs the transpose; it costs no device time but the
-			// bytes still move, functionally.
-			stream.Barrier(func() {
-				mem.TransposeElemsRange(s.dev.Mem, dc.RespRow, dc.RespCol, buf/4, dc.Size, 4, buf/4, count)
-			})
-		} else {
-			stream.TransposeLive(dc.RespRow, dc.RespCol, buf/4, dc.Size, 4, buf/4, count, nil)
-		}
+	if s.opts.ColumnMajor && !s.opts.OffloadResponseTranspose {
+		stream.Transpose(buf/4, dc.Size, 4, nil)
 	}
 	finish := func() {
 		now := s.eng.Now()

@@ -1,8 +1,8 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 
 	"rhythm/internal/httpx"
 	"rhythm/internal/mem"
@@ -15,7 +15,10 @@ import (
 // stage logic is the same Go code the host path runs; what differs is
 // the memory traffic — word-interleaved column-major cohort buffers
 // accessed in lockstep — and the cost accounting the simulator performs
-// on it.
+// on it. Function and timing are split: each column-major buffer's
+// accesses are charged at their column-major addresses
+// (simt.Thread.AccessStrided), while its bytes live contiguously per
+// request in a row-major home buffer, so no transpose ever moves bytes.
 
 // Device-side cost constants: an on-device backend lookup (Titan B/C run
 // the backend as a device kernel, §5.3.2) and session-array work beyond
@@ -42,8 +45,8 @@ type KernelMode struct {
 	// (the transpose ablation).
 	ColumnMajor bool
 	// DeviceBackend chains the backend into the stage kernel; otherwise
-	// the stage stores its backend request for a host round trip
-	// through the BReqRow/BRespRow staging rows (Titan A).
+	// the stage stores its backend request for a host round trip that
+	// copies the BReqRow/BRespRow rows over the bus (Titan A).
 	DeviceBackend bool
 }
 
@@ -62,13 +65,17 @@ type Cohort struct {
 	Count int
 	mode  KernelMode
 
-	// Device buffers. BReqBuf/BRespBuf hold the backend request and
-	// response slots column-major; RespCol receives the column-major
-	// response and RespRow its transpose (or, in row-major mode, the
-	// response directly). BReqRow/BRespRow exist only without a device
-	// backend: they stage the transposes a host backend needs — "A local
-	// device backend also avoids the need to transpose the backend
-	// request and response data" (§5.3.2).
+	// Device buffers. BReqBuf/BRespBuf are the column-major backend
+	// request and response slots and RespCol the column-major response:
+	// the stage kernels' accesses are charged at their addresses, but
+	// their bytes are never written. The bytes live row-major in their
+	// homes BReqRow, BRespRow and RespRow, which are therefore always
+	// exactly what a transpose would have produced. In row-major mode
+	// the response is charged at RespRow itself. A host backend
+	// exchanges BReqRow/BRespRow over the bus after charging the
+	// transposes a device backend avoids — "A local device backend also
+	// avoids the need to transpose the backend request and response
+	// data" (§5.3.2).
 	BReqBuf  mem.Addr
 	BRespBuf mem.Addr
 	RespCol  mem.Addr
@@ -85,16 +92,12 @@ type Cohort struct {
 	// stageInstr tracks each request's charged instructions at the last
 	// stage boundary, so stage kernels charge only their delta.
 	stageInstr []int64
-	// scratch pools render buffers: emit runs concurrently across warps
-	// (simt.Config.HostParallelism > 1), so a single shared buffer would
-	// race.
-	scratch sync.Pool
 }
 
 // NewCohort allocates the device buffers of a cohort of size slots for
 // response-buffer class bufBytes, running in mode.
 func (w *PageWorkload) NewCohort(dev *simt.Device, bufBytes, size int, mode KernelMode) *Cohort {
-	c := &Cohort{
+	return &Cohort{
 		Size:       size,
 		mode:       mode,
 		w:          w,
@@ -103,16 +106,12 @@ func (w *PageWorkload) NewCohort(dev *simt.Device, bufBytes, size int, mode Kern
 		BRespBuf:   dev.Mem.Alloc(size*BackendResponseSlot, 256),
 		RespCol:    dev.Mem.Alloc(size*bufBytes, 256),
 		RespRow:    dev.Mem.Alloc(size*bufBytes, 256),
+		BReqRow:    dev.Mem.Alloc(size*BackendRequestSlot, 256),
+		BRespRow:   dev.Mem.Alloc(size*BackendResponseSlot, 256),
 		Reqs:       make([]httpx.Request, size),
 		Ctxs:       make([]*Ctx, size),
 		stageInstr: make([]int64, size),
 	}
-	if !mode.DeviceBackend {
-		c.BReqRow = dev.Mem.Alloc(size*BackendRequestSlot, 256)
-		c.BRespRow = dev.Mem.Alloc(size*BackendResponseSlot, 256)
-	}
-	c.scratch.New = func() any { return make([]byte, bufBytes) }
-	return c
 }
 
 // Reset binds the cohort to local type `local` for a new batch of count
@@ -136,8 +135,8 @@ func (c *Cohort) Reset(local, count int) {
 }
 
 // Response returns a copy of request r's rendered response from the
-// row-major response buffer (valid after the response transpose, or
-// directly after the final stage in row-major mode).
+// row-major response buffer (valid after the final stage; the response
+// transpose only charges time).
 func (c *Cohort) Response(m *mem.Memory, r int) []byte {
 	if r < 0 || r >= c.Count {
 		panic(fmt.Sprintf("service: response row %d out of range (count %d)", r, c.Count))
@@ -189,11 +188,11 @@ func (u *pageUnit) Stages() int { return u.c.Def.Backends + 1 }
 // Stage implements Unit.
 func (u *pageUnit) Stage(k int) simt.Program { return u.c.Stage(k, u.sessions, u.be) }
 
-// Writeback implements Unit: transpose the column-major responses to
-// row-major for extraction.
+// Writeback implements Unit: charge the transpose of the column-major
+// responses to row-major for extraction.
 func (u *pageUnit) Writeback(stream *simt.Stream) {
 	c := u.c
-	stream.TransposeLive(c.RespRow, c.RespCol, c.class/wordSize, c.Size, wordSize, c.class/wordSize, c.Count, nil)
+	stream.Transpose(c.class/wordSize, c.Size, wordSize, nil)
 }
 
 // Response implements Unit.
@@ -209,75 +208,66 @@ func (u *pageUnit) Failed(i int) bool {
 // word-interleaved buffer starting at buf.
 func columnBase(buf mem.Addr, r int) mem.Addr { return buf + mem.Addr(wordSize*r) }
 
-// loadColumn reads n bytes of request r's column from a cohort buffer of
-// `rows` slots (n must be a multiple of wordSize).
-func loadColumn(t *simt.Thread, buf mem.Addr, r, rows, n int) []byte {
-	return t.LoadStrided(columnBase(buf, r), n/wordSize, wordSize, wordSize*rows)
+// rowSlot returns request r's slot of a row-major buffer of slotBytes
+// slots starting at buf. It aliases device memory, so it must not be
+// kept past the block that asked for it.
+func rowSlot(m *mem.Memory, buf mem.Addr, r, slotBytes int) []byte {
+	return m.Bytes(buf+mem.Addr(r*slotBytes), slotBytes)
 }
 
-// storeColumn writes data into request r's column starting at byte offset
-// start, issuing the word accesses a CUDA thread would: a partial leading
-// word, aligned middle words, and a partial trailing word. When every
-// lane's start matches (the padded, aligned case) the stores coalesce;
-// when starts diverge they scatter.
-func storeColumn(t *simt.Thread, buf mem.Addr, r, rows, start int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
+// loadColumn charges the read of request r's whole column of a cohort
+// buffer `col` of `rows` slots and returns a copy of its bytes from
+// their row-major home `row` (slot size n, a wordSize multiple). The
+// copy outlives the block, unlike device memory the next stage reuses.
+func loadColumn(t *simt.Thread, col, row mem.Addr, r, rows, n int) []byte {
+	t.AccessStrided(columnBase(col, r), n/wordSize, wordSize, wordSize*rows)
+	return bytes.Clone(rowSlot(t.Mem(), row, r, n))
+}
+
+// storeSlot charges the store of one whole slot (n bytes, a wordSize
+// multiple) into request r's column of col and writes data, zero
+// filled to the slot size, to its row-major home.
+func storeSlot(t *simt.Thread, col, row mem.Addr, r, rows, n int, data []byte) {
+	t.AccessStrided(columnBase(col, r), n/wordSize, wordSize, wordSize*rows)
+	slot := rowSlot(t.Mem(), row, r, n)
+	clear(slot[copy(slot, data):])
+}
+
+// chargeColumn charges a store of n bytes into request r's column
+// starting at byte offset start, as the word accesses a CUDA thread
+// would issue: a partial leading word, aligned middle words, and a
+// partial trailing word. When every lane's start matches (the padded,
+// aligned case) the stores coalesce; when starts diverge they scatter.
+func chargeColumn(t *simt.Thread, buf mem.Addr, r, rows, start, n int) {
 	stride := wordSize * rows
-	pos := start
-	if h := pos % wordSize; h != 0 {
-		n := wordSize - h
-		if n > len(data) {
-			n = len(data)
-		}
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r+h)
-		t.Store(addr, data[:n])
-		data = data[n:]
-		pos += n
+	at := func(pos int) mem.Addr {
+		return buf + mem.Addr((pos/wordSize)*stride+wordSize*r+pos%wordSize)
 	}
-	if n := len(data) / wordSize * wordSize; n > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.StoreStrided(addr, data[:n], wordSize, stride)
-		data = data[n:]
-		pos += n
+	pos, end := start, start+n
+	if h := pos % wordSize; h != 0 && pos < end {
+		k := min(wordSize-h, end-pos)
+		t.AccessStrided(at(pos), 1, k, k)
+		pos += k
 	}
-	if len(data) > 0 {
-		addr := buf + mem.Addr((pos/wordSize)*stride+wordSize*r)
-		t.Store(addr, data)
+	if words := (end - pos) / wordSize; words > 0 {
+		t.AccessStrided(at(pos), words, wordSize, stride)
+		pos += words * wordSize
+	}
+	if pos < end {
+		t.AccessStrided(at(pos), 1, end-pos, end-pos)
 	}
 }
 
-// storeRow writes data at byte offset start of request r's row-major slot
-// (slot size rowBytes), as the per-word loop a thread would execute —
-// the uncoalesced layout the transpose ablation measures.
-func storeRow(t *simt.Thread, buf mem.Addr, r, rowBytes, start int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
+// chargeRow charges a store of n bytes at byte offset start of request
+// r's row-major slot (slot size rowBytes), as the per-word loop a thread
+// would execute — the uncoalesced layout the transpose ablation
+// measures.
+func chargeRow(t *simt.Thread, buf mem.Addr, r, rowBytes, start, n int) {
 	addr := buf + mem.Addr(r*rowBytes+start)
-	n := len(data) / wordSize * wordSize
-	if n > 0 {
-		t.StoreStrided(addr, data[:n], wordSize, wordSize)
-	}
-	if n < len(data) {
-		t.Store(addr+mem.Addr(n), data[n:])
-	}
-}
-
-// writeColumnRaw writes data (a wordSize multiple) into request r's
-// column functionally, charging no memory traffic — it backs deferred
-// backend stores whose identical-shape cost a blank storeColumn already
-// priced.
-func writeColumnRaw(m *mem.Memory, buf mem.Addr, r, rows int, data []byte) {
-	if len(data)%wordSize != 0 {
-		panic("service: raw column write not word-aligned")
-	}
-	stride := wordSize * rows
-	words := len(data) / wordSize
-	b := m.Bytes(columnBase(buf, r), (words-1)*stride+wordSize)
-	for i := 0; i < words; i++ {
-		copy(b[i*stride:i*stride+wordSize], data[i*wordSize:(i+1)*wordSize])
+	words := n / wordSize
+	t.AccessStrided(addr, words, wordSize, wordSize)
+	if tail := n - words*wordSize; tail > 0 {
+		t.AccessStrided(addr+mem.Addr(words*wordSize), 1, tail, tail)
 	}
 }
 
@@ -344,7 +334,7 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		ctx := c.Ctxs[r]
 		var bresp []byte
 		if p.stage > 0 {
-			bresp = loadColumn(t, c.BRespBuf, r, c.Size, BackendResponseSlot)
+			bresp = loadColumn(t, c.BRespBuf, c.BRespRow, r, c.Size, BackendResponseSlot)
 		}
 		breq := def.Stage(ctx, p.stage, bresp)
 		p.chargeDelta(t, r)
@@ -355,9 +345,7 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 			return 3 // early completion: emit now (variable stages)
 		}
 		if p.stage < def.Backends {
-			slot := make([]byte, BackendRequestSlot)
-			copy(slot, breq)
-			storeColumn(t, c.BReqBuf, r, c.Size, 0, slot)
+			storeSlot(t, c.BReqBuf, c.BReqRow, r, c.Size, BackendRequestSlot, breq)
 			if c.mode.DeviceBackend {
 				return 2
 			}
@@ -365,23 +353,20 @@ func (p stageProgram) Exec(b simt.BlockID, t *simt.Thread) simt.BlockID {
 		}
 		return 3
 	case 2: // on-device backend: price now, commit deferred
-		breq := loadColumn(t, c.BReqBuf, r, c.Size, BackendRequestSlot)
+		breq := loadColumn(t, c.BReqBuf, c.BReqRow, r, c.Size, BackendRequestSlot)
 		t.Compute(besimDeviceOps)
 		// The store's cost is content-independent (always the full
-		// slot), so price it with a blank slot and defer the execution:
-		// the backend mutates shared state and must commit in canonical
-		// serial order for the rendered bytes to match a serial run's.
-		// The response is only read by the NEXT stage kernel, so
+		// slot), so price it now and defer the execution: the backend
+		// mutates shared state and must commit in canonical serial
+		// order for the rendered bytes to match a serial run's. The
+		// response is only read by the NEXT stage kernel, so
 		// materializing it at end-of-launch is unobservable. See
 		// DESIGN.md "Host parallelism".
-		storeColumn(t, c.BRespBuf, r, c.Size, 0, make([]byte, BackendResponseSlot))
-		m := t.Mem()
-		be := p.be
+		t.AccessStrided(columnBase(c.BRespBuf, r), BackendResponseSlot/wordSize, wordSize, wordSize*c.Size)
+		m, be := t.Mem(), p.be
 		t.Defer(func() {
-			resp := be.Handle(breq)
-			slot := make([]byte, BackendResponseSlot)
-			copy(slot, resp)
-			writeColumnRaw(m, c.BRespBuf, r, c.Size, slot)
+			slot := rowSlot(m, c.BRespRow, r, BackendResponseSlot)
+			clear(slot[copy(slot, be.Handle(breq)):])
 		})
 		return simt.Halt // next stage kernel reads BRespBuf
 	case 3: // final stage: render and emit
@@ -413,33 +398,33 @@ func (p stageProgram) chargeDelta(t *simt.Thread, r int) {
 	}
 }
 
-// emit renders the full fixed-size response and stores it section by
-// section, splitting at the page's alignment marks. With padding on and
-// budgeted sections every lane's marks coincide and the stores coalesce;
+// emit renders the full fixed-size response straight into request r's
+// row-major home and charges its store section by section, splitting
+// at the page's alignment marks. With padding on and budgeted sections
+// every lane's marks coincide and the column-major stores coalesce;
 // with padding off they drift and scatter (§4.3.2).
 func (p stageProgram) emit(t *simt.Thread, r int, ctx *Ctx) {
 	c := p.c
-	buf := c.scratch.Get().([]byte)
-	defer c.scratch.Put(buf)
-	resp := c.w.Render(ctx, buf)
+	resp := c.w.Render(ctx, rowSlot(t.Mem(), c.RespRow, r, c.class))
 	lo := 0
 	for _, m := range ctx.Page.Marks() {
 		hi := c.Def.headerLen + m
-		p.storeSection(t, r, resp, lo, hi)
+		p.chargeSection(t, r, lo, hi)
 		lo = hi
 	}
-	p.storeSection(t, r, resp, lo, len(resp))
+	p.chargeSection(t, r, lo, len(resp))
 }
 
-// storeSection stores resp[lo:hi] into request r's response slot.
-func (p stageProgram) storeSection(t *simt.Thread, r int, resp []byte, lo, hi int) {
+// chargeSection charges the store of bytes [lo, hi) of request r's
+// response.
+func (p stageProgram) chargeSection(t *simt.Thread, r, lo, hi int) {
 	if hi <= lo {
 		return
 	}
 	c := p.c
 	if c.mode.ColumnMajor {
-		storeColumn(t, c.RespCol, r, c.Size, lo, resp[lo:hi])
+		chargeColumn(t, c.RespCol, r, c.Size, lo, hi-lo)
 	} else {
-		storeRow(t, c.RespRow, r, c.class, lo, resp[lo:hi])
+		chargeRow(t, c.RespRow, r, c.class, lo, hi-lo)
 	}
 }

@@ -196,12 +196,12 @@ func (w *PageWorkload) classes() []int {
 }
 
 // DeviceBytes implements Workload: one cohort buffer set per distinct
-// buffer class (each set: column+row response buffers plus one backend
-// request and one backend response column).
+// buffer class (each set: the column-major response, backend request
+// and backend response buffers plus their row-major homes).
 func (w *PageWorkload) DeviceBytes(cohortSize int) int64 {
 	var total int64
 	for _, c := range w.classes() {
-		total += int64(cohortSize) * int64(2*c+BackendRequestSlot+BackendResponseSlot)
+		total += int64(cohortSize) * int64(2*(c+BackendRequestSlot+BackendResponseSlot))
 	}
 	return total
 }

@@ -244,7 +244,9 @@ func TestScratchMatchesExecute(t *testing.T) {
 // kernelRun drives a cohort of local type `local` through every stage
 // kernel in mode, performing the host round trip between stages when the
 // mode has no device backend, and returns the cohort with its responses
-// row-major in RespRow.
+// row-major in RespRow. The kernels keep every column-major buffer's
+// bytes in its row-major home, so the round trip reads BReqRow and
+// writes BRespRow directly, as the pipeline's bus copies do.
 func kernelRun(t *testing.T, w *PageWorkload, local int, reqs []httpx.Request, mode KernelMode) (*Cohort, *simt.Device) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -263,9 +265,8 @@ func kernelRun(t *testing.T, w *PageWorkload, local int, reqs []httpx.Request, m
 		if k == def.Backends || mode.DeviceBackend {
 			continue
 		}
-		// Host round trip (Titan A): transpose the request slots out,
-		// execute the live lanes, transpose the responses back in.
-		mem.TransposeElems(m, c.BReqRow, c.BReqBuf, BackendRequestSlot/wordSize, n, wordSize)
+		// Host round trip (Titan A): execute the live lanes' request
+		// slots and store their responses.
 		for r := 0; r < n; r++ {
 			slot := m.Bytes(c.BRespRow+mem.Addr(r*BackendResponseSlot), BackendResponseSlot)
 			clear(slot)
@@ -275,10 +276,6 @@ func kernelRun(t *testing.T, w *PageWorkload, local int, reqs []httpx.Request, m
 			breq := bytes.TrimRight(m.Read(c.BReqRow+mem.Addr(r*BackendRequestSlot), BackendRequestSlot), "\x00")
 			copy(slot, echoBackend{}.Handle(breq))
 		}
-		mem.TransposeElems(m, c.BRespBuf, c.BRespRow, n, BackendResponseSlot/wordSize, wordSize)
-	}
-	if mode.ColumnMajor {
-		mem.TransposeElems(m, c.RespRow, c.RespCol, def.BufferBytes/wordSize, n, wordSize)
 	}
 	return c, dev
 }
@@ -306,6 +303,51 @@ func TestStageKernelsMatchHostExecute(t *testing.T) {
 					t.Fatalf("%s, %s lane %d: kernel response differs from host Execute:\n%q\nvs\n%q",
 						md.name, w.Def(local).Name, r, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestColumnBuffersStayUntouched pins the function/timing split: a full
+// cohort run through the registry's Unit path (stage kernels with the
+// device backend, then the writeback transpose) charges column-major
+// traffic but never writes the column-major buffers, and every response
+// is still byte-identical to host Execute.
+func TestColumnBuffersStayUntouched(t *testing.T) {
+	w := newKit(nil)
+	for _, local := range []int{kitPage, kitMulti} {
+		eng := sim.NewEngine()
+		dev := simt.NewDevice(eng, simt.GTXTitan(), 16<<20, nil)
+		reqs := kitRequests(t, local, 40)
+		u := w.NewSlot(dev, len(reqs)).Bind(local, reqs, session.NewArray(16, 4), echoBackend{})
+		stream := dev.NewStream()
+		for k := 0; k < u.Stages(); k++ {
+			stream.Launch(u.Stage(k), len(reqs), nil, nil)
+		}
+		u.Writeback(stream)
+		eng.Run()
+		if dev.Stats().Transactions == 0 {
+			t.Fatalf("%s: cohort charged no memory traffic", w.Def(local).Name)
+		}
+		c := u.(*pageUnit).c
+		for _, col := range []struct {
+			name  string
+			addr  mem.Addr
+			bytes int
+		}{
+			{"RespCol", c.RespCol, c.Size * w.Def(local).BufferBytes},
+			{"BReqBuf", c.BReqBuf, c.Size * BackendRequestSlot},
+			{"BRespBuf", c.BRespBuf, c.Size * BackendResponseSlot},
+		} {
+			if b := dev.Mem.Bytes(col.addr, col.bytes); !bytes.Equal(b, make([]byte, col.bytes)) {
+				t.Fatalf("%s: column buffer %s was written", w.Def(local).Name, col.name)
+			}
+		}
+		sessions := session.NewArray(16, 4)
+		for i := range reqs {
+			want := w.RenderAlloc(w.Execute(local, &reqs[i], sessions, echoBackend{}, true))
+			if got := u.Response(i); !bytes.Equal(got, want) {
+				t.Fatalf("%s lane %d: response differs from host Execute:\n%q\nvs\n%q", w.Def(local).Name, i, got, want)
 			}
 		}
 	}
@@ -345,26 +387,29 @@ func TestResetRejectsWrongClass(t *testing.T) {
 }
 
 func TestStoreColumnUnalignedOffsets(t *testing.T) {
-	// storeColumn must write correct bytes at any byte offset; the
-	// aligned fast path and the partial-word paths must agree.
-	eng := sim.NewEngine()
-	dev := simt.NewDevice(eng, simt.GTXTitan(), 1<<20, nil)
-	const rows = 8
-	buf := dev.Mem.Alloc(rows*64, 256)
-	payload := []byte("unaligned-payload!")
-	dev.NewStream().Launch(simt.FuncProgram{Label: "uw", Body: func(th *simt.Thread) {
-		storeColumn(th, buf, th.ID, rows, 3+th.ID%4, payload)
-	}}, rows, nil, nil)
-	eng.Run()
-	for r := 0; r < rows; r++ {
-		start := 3 + r%4
-		got := make([]byte, len(payload))
-		for i := range got {
-			off := start + i
-			got[i] = dev.Mem.Bytes(buf+mem.Addr((off/4)*(4*rows)+4*r+off%4), 1)[0]
+	// A column store at any byte offset is priced as the word accesses a
+	// CUDA thread issues — a partial leading word, aligned middle words,
+	// a partial trailing word — so every distinct word it touches costs
+	// one lockstep step, and (charge-only) the column buffer is never
+	// written.
+	const rows, n = 8, 18
+	for start := 0; start < 8; start++ {
+		eng := sim.NewEngine()
+		dev := simt.NewDevice(eng, simt.GTXTitan(), 1<<20, nil)
+		buf := dev.Mem.Alloc(rows*64, 256)
+		var ls simt.LaunchStats
+		dev.NewStream().Launch(simt.FuncProgram{Label: "uw", Body: func(th *simt.Thread) {
+			chargeColumn(th, buf, th.ID, rows, start, n)
+		}}, rows, nil, func(s simt.LaunchStats) { ls = s })
+		eng.Run()
+		// One step per word; the 8 lanes' 4-byte words of one step are
+		// adjacent, so each step is one segment.
+		words := int64((start+n-1)/wordSize - start/wordSize + 1)
+		if ls.Transactions != words {
+			t.Fatalf("start %d: %d transactions, want one per touched word (%d)", start, ls.Transactions, words)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("row %d: %q", r, got)
+		if !bytes.Equal(dev.Mem.Bytes(buf, rows*64), make([]byte, rows*64)) {
+			t.Fatalf("start %d: column buffer written", start)
 		}
 	}
 }

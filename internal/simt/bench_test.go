@@ -10,12 +10,12 @@ import (
 
 // BenchmarkKernelSimulation measures the simulator's host-side cost of
 // executing one 4096-thread cohort kernel with column-major stores —
-// the dominant cost of the macro experiments.
+// the dominant cost of the macro experiments. The stores are
+// charge-only, as every cohort-buffer store is (Thread.AccessStrided).
 func BenchmarkKernelSimulation(b *testing.B) {
 	cfg := GTXTitan()
 	const threads = 4096
 	const words = 1024 // 4 KB per thread
-	payload := make([]byte, words*4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -25,7 +25,7 @@ func BenchmarkKernelSimulation(b *testing.B) {
 		b.StartTimer()
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
-			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
+			t.AccessStrided(base+mem.Addr(4*t.ID), words, 4, 4*threads)
 		}}, threads, nil, nil)
 		eng.Run()
 	}
@@ -39,7 +39,6 @@ func BenchmarkKernelSimulation(b *testing.B) {
 func BenchmarkHostParallelism(b *testing.B) {
 	const threads = 4096
 	const words = 1024
-	payload := make([]byte, words*4)
 	run := func(hp int) time.Duration {
 		cfg := GTXTitan()
 		cfg.HostParallelism = hp
@@ -49,7 +48,7 @@ func BenchmarkHostParallelism(b *testing.B) {
 		start := time.Now()
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
-			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
+			t.AccessStrided(base+mem.Addr(4*t.ID), words, 4, 4*threads)
 		}}, threads, nil, nil)
 		eng.Run()
 		return time.Since(start)
@@ -77,7 +76,6 @@ func BenchmarkHostParallelism(b *testing.B) {
 func BenchmarkProfilerOverhead(b *testing.B) {
 	const threads = 4096
 	const words = 1024
-	payload := make([]byte, words*4)
 	run := func(off bool) time.Duration {
 		cfg := GTXTitan()
 		cfg.ProfileOff = off
@@ -87,7 +85,7 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 		start := time.Now()
 		dev.NewStream().Launch(FuncProgram{"bench", func(t *Thread) {
 			t.Compute(10000)
-			t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, 4*threads)
+			t.AccessStrided(base+mem.Addr(4*t.ID), words, 4, 4*threads)
 		}}, threads, nil, nil)
 		eng.Run()
 		return time.Since(start)

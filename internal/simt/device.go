@@ -48,10 +48,12 @@ type DeviceStats struct {
 // Device is a modeled SIMT accelerator attached to a simulation engine.
 // Operations are issued through Streams; the device serializes execution
 // on its compute engine and charges virtual time from the roofline cost
-// model, while performing all work functionally on real bytes in Mem.
+// model, while kernels produce real bytes in Mem.
 type Device struct {
 	Cfg Config
-	// Mem is the device memory. All kernel accesses resolve into it.
+	// Mem is the device memory: the functional half of the model. It
+	// holds the bytes kernels produce, row-major; column-major buffer
+	// accesses are charged, not performed (Thread.AccessStrided).
 	Mem *mem.Memory
 	// Bus is the host↔device interconnect used by MemcpyH2D/D2H. When nil
 	// (an integrated SoC-style platform, as Titan B/C emulate), copies
@@ -459,21 +461,18 @@ func (s *Stream) MemcpyD2H(src mem.Addr, n int, done func(data []byte)) {
 }
 
 // Transpose enqueues an on-device transpose of a rows×cols matrix of
-// elem-byte elements from src to dst. It is modeled as a
-// bandwidth-bound kernel (one read + one write of every byte), matching
-// the optimized CUDA transpose the paper builds on [48].
-func (s *Stream) Transpose(dst, src mem.Addr, rows, cols, elem int, done func()) {
-	s.TransposeLive(dst, src, rows, cols, elem, rows, cols, done)
-}
-
-// TransposeLive is Transpose for a partially filled fixed-geometry
-// buffer: the device streams (and is charged for) the whole rows×cols
-// matrix, but only the [0,liveRows)×[0,liveCols) corner holds meaningful
-// data, so only it is moved functionally.
-func (s *Stream) TransposeLive(dst, src mem.Addr, rows, cols, elem, liveRows, liveCols int, done func()) {
+// elem-byte elements. It is modeled as a bandwidth-bound kernel (one
+// read + one write of every byte of the full fixed geometry), matching
+// the optimized CUDA transpose the paper builds on [48]. It is
+// charge-only: column-major cohort buffers keep their bytes row-major
+// (see Thread.AccessStrided), so the transposed layout already exists
+// and nothing moves.
+func (s *Stream) Transpose(rows, cols, elem int, done func()) {
+	if rows <= 0 || cols <= 0 || elem <= 0 {
+		panic("simt: transpose dimensions must be positive")
+	}
 	d := s.dev
 	s.enqueue(func(complete func()) {
-		mem.TransposeElemsRange(d.Mem, dst, src, rows, cols, elem, liveRows, liveCols)
 		bytes := int64(mem.TransposeBytes(rows, cols*elem))
 		dur := sim.Time(float64(bytes)/d.Cfg.MemBandwidth*1e9) + sim.Time(d.Cfg.LaunchOverhead)
 		txns := (bytes + int64(d.Cfg.SegmentBytes) - 1) / int64(d.Cfg.SegmentBytes)

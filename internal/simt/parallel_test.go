@@ -31,8 +31,11 @@ func (p divergeStoreProg) Exec(b BlockID, t *Thread) BlockID {
 	case 4:
 		pad := t.SharedMax(0)
 		t.Compute(int(pad))
+		// Charge the column-major store; write the bytes to the
+		// thread's row-major home slot after the column buffer.
 		word := []byte{byte(t.ID), byte(t.ID >> 8), byte(pad), 0xAA}
-		t.StoreStrided(p.base+mem.Addr(4*t.ID), bytes.Repeat(word, 16), 4, 4*p.n)
+		t.AccessStrided(p.base+mem.Addr(4*t.ID), 16, 4, 4*p.n)
+		t.Mem().Write(p.base+mem.Addr(64*(p.n+t.ID)), bytes.Repeat(word, 16))
 		return Halt
 	}
 	panic("bad block")
@@ -47,13 +50,13 @@ func TestHostParallelismMatchesSerial(t *testing.T) {
 		cfg := GTXTitan()
 		cfg.HostParallelism = hp
 		eng := sim.NewEngine()
-		dev := NewDevice(eng, cfg, n*64+1<<20, nil)
-		base := dev.Mem.Alloc(n*64, 256)
+		dev := NewDevice(eng, cfg, 2*n*64+1<<20, nil)
+		base := dev.Mem.Alloc(2*n*64, 256)
 		var st LaunchStats
 		dev.NewStream().Launch(divergeStoreProg{base: base, n: n}, n, nil,
 			func(ls LaunchStats) { st = ls })
 		eng.Run()
-		return st, dev.Mem.Read(base, n*64)
+		return st, dev.Mem.Read(base, 2*n*64)
 	}
 	serialSt, serialMem := run(1)
 	parSt, parMem := run(8)

@@ -139,9 +139,7 @@ func TestProfileTransposeRecorded(t *testing.T) {
 	cfg := GTXTitan()
 	eng := sim.NewEngine()
 	dev := NewDevice(eng, cfg, 1<<20, nil)
-	src := dev.Mem.Alloc(64*64*4, 256)
-	dst := dev.Mem.Alloc(64*64*4, 256)
-	dev.NewStream().Transpose(dst, src, 64, 64, 4, nil)
+	dev.NewStream().Transpose(64, 64, 4, nil)
 	eng.Run()
 	recs := dev.Profile()
 	if len(recs) != 1 {

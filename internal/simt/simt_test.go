@@ -190,13 +190,12 @@ func TestStoreStridedColumnMajorCoalesces(t *testing.T) {
 	rows := cfg.WarpSize // one warp cohort
 	cols := 64           // words per request
 	base := d.Mem.Alloc(rows*cols*4, 128)
-	payload := bytes.Repeat([]byte{0xAB}, cols*4)
 
 	var st LaunchStats
 	s := d.NewStream()
 	s.Launch(FuncProgram{"colmajor", func(t *Thread) {
-		// Thread r writes word c at (c*rows + r)*4: column-major words.
-		t.StoreStrided(base+mem.Addr(4*t.ID), payload, 4, rows*4)
+		// Thread r accesses word c at (c*rows + r)*4: column-major words.
+		t.AccessStrided(base+mem.Addr(4*t.ID), cols, 4, rows*4)
 	}}, rows, nil, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 
@@ -204,12 +203,9 @@ func TestStoreStridedColumnMajorCoalesces(t *testing.T) {
 	if st.Transactions != int64(cols) {
 		t.Fatalf("column-major transactions = %d, want %d", st.Transactions, cols)
 	}
-	// All bytes written.
-	got := d.Mem.Read(base, rows*cols*4)
-	for i, b := range got {
-		if b != 0xAB {
-			t.Fatalf("byte %d not written", i)
-		}
+	// Charge-only: the column-major buffer is never written.
+	if !bytes.Equal(d.Mem.Read(base, rows*cols*4), make([]byte, rows*cols*4)) {
+		t.Fatal("AccessStrided moved bytes")
 	}
 }
 
@@ -220,13 +216,12 @@ func TestRowMajorStridedIsWorse(t *testing.T) {
 	cols := 64
 	rowBytes := cols * 4
 	base := d.Mem.Alloc(rows*rowBytes, 128)
-	payload := bytes.Repeat([]byte{0xCD}, rowBytes)
 
 	var st LaunchStats
 	s := d.NewStream()
 	s.Launch(FuncProgram{"rowmajor", func(t *Thread) {
-		// Thread r writes word c at r*rowBytes + c*4: row-major layout.
-		t.StoreStrided(base+mem.Addr(t.ID*rowBytes), payload, 4, 4)
+		// Thread r accesses word c at r*rowBytes + c*4: row-major layout.
+		t.AccessStrided(base+mem.Addr(t.ID*rowBytes), cols, 4, 4)
 	}}, rows, nil, func(ls LaunchStats) { st = ls })
 	d.Engine().Run()
 
@@ -323,26 +318,17 @@ func TestMemcpyD2HDeliversData(t *testing.T) {
 func TestDeviceTranspose(t *testing.T) {
 	d := testDevice(t, GTXTitan())
 	rows, cols := 8, 16
-	src := d.Mem.Alloc(rows*cols, 128)
-	dst := d.Mem.Alloc(rows*cols, 128)
-	s := d.Mem.Bytes(src, rows*cols)
-	for i := range s {
-		s[i] = byte(i)
-	}
 	st := d.NewStream()
 	var doneAt sim.Time
-	st.Transpose(dst, src, rows, cols, 1, func() { doneAt = d.Engine().Now() })
+	st.Transpose(rows, cols, 1, func() { doneAt = d.Engine().Now() })
 	d.Engine().Run()
 	if doneAt == 0 {
 		t.Fatal("transpose never completed")
 	}
-	dbytes := d.Mem.Bytes(dst, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if dbytes[c*rows+r] != s[r*cols+c] {
-				t.Fatalf("transpose wrong at (%d,%d)", r, c)
-			}
-		}
+	// One read + one write of every byte, streamed in full segments.
+	ds := d.Stats()
+	if ds.MemBytes != int64(mem.TransposeBytes(rows, cols)) || ds.Transactions != ds.IdealTxns {
+		t.Fatalf("transpose charged %d bytes, %d/%d txns", ds.MemBytes, ds.Transactions, ds.IdealTxns)
 	}
 }
 

@@ -59,9 +59,11 @@ type access struct {
 	strided bool
 }
 
-// Thread is the per-lane execution context handed to Program.Exec. All
-// loads and stores go through it so the simulator can account coalescing
-// and so the bytes actually land in device memory.
+// Thread is the per-lane execution context handed to Program.Exec. Every
+// memory instruction goes through it so the simulator can account
+// coalescing. Load and Store also move bytes; AccessStrided only
+// charges, and the kernel moves the bytes itself, in the row-major
+// layout they live in.
 type Thread struct {
 	// ID is the global thread index within the launch.
 	ID int
@@ -156,53 +158,24 @@ func (t *Thread) Store(addr mem.Addr, p []byte) {
 	t.mem.Write(addr, p)
 }
 
-// StoreStrided writes p in elem-byte words at addresses
-// addr, addr+stride, addr+2*stride, ... — the access pattern of a thread
-// writing its column of a transposed (column-major, word-interleaved)
-// cohort buffer. len(p) must be a multiple of elem. The simulator
-// coalesces each step across the warp's lanes, which is where the
-// transpose optimization's benefit shows up: lanes' words at one step are
-// adjacent in column-major layout and merge into one transaction.
-func (t *Thread) StoreStrided(addr mem.Addr, p []byte, elem, stride int) {
-	count := stridedCount(len(p), elem, stride)
+// AccessStrided charges one memory instruction that touches count
+// elem-byte words at addr, addr+stride, addr+2*stride, ... and moves no
+// bytes. It is the timing half of a column-major (word-interleaved)
+// cohort-buffer access: the simulator coalesces each step across the
+// warp's lanes, which is where the transpose optimization's benefit
+// shows up — lanes' words at one step are adjacent in column-major
+// layout and merge into one transaction. The functional half is the
+// kernel's: it keeps the buffer's bytes contiguous per thread in a
+// row-major home and reads or writes them there (DESIGN.md "Function
+// and timing"). count 1 prices a plain elem-byte access.
+func (t *Thread) AccessStrided(addr mem.Addr, count, elem, stride int) {
+	if stride <= 0 || elem <= 0 || elem > stride || count < 0 {
+		panic("simt: bad strided access shape")
+	}
 	if count == 0 {
 		return
 	}
 	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
-	last := addr + mem.Addr((count-1)*stride)
-	b := t.mem.Bytes(addr, int(last-addr)+elem)
-	for i := 0; i < count; i++ {
-		copy(b[i*stride:i*stride+elem], p[i*elem:(i+1)*elem])
-	}
-}
-
-// LoadStrided reads count elem-byte words at stride intervals starting at
-// addr, mirroring StoreStrided for column-major request buffers.
-func (t *Thread) LoadStrided(addr mem.Addr, count, elem, stride int) []byte {
-	if stride <= 0 || elem <= 0 || elem > stride {
-		panic("simt: bad strided access shape")
-	}
-	if count == 0 {
-		return nil
-	}
-	t.accesses = append(t.accesses, access{addr: addr, elem: elem, count: count, stride: stride, strided: true})
-	last := addr + mem.Addr((count-1)*stride)
-	b := t.mem.Bytes(addr, int(last-addr)+elem)
-	out := make([]byte, count*elem)
-	for i := 0; i < count; i++ {
-		copy(out[i*elem:(i+1)*elem], b[i*stride:i*stride+elem])
-	}
-	return out
-}
-
-func stridedCount(n, elem, stride int) int {
-	if stride <= 0 || elem <= 0 || elem > stride {
-		panic("simt: bad strided access shape")
-	}
-	if n%elem != 0 {
-		panic("simt: strided payload not a multiple of element size")
-	}
-	return n / elem
 }
 
 // LoadConst reads n bytes of constant memory. Constant memory is
@@ -223,7 +196,8 @@ func (t *Thread) Atomic(addr mem.Addr) {
 }
 
 // Mem exposes the raw device memory for functional (non-accounted)
-// bookkeeping by kernel host code. Kernels should prefer Load/Store.
+// access. Kernels use it for the bytes of column-buffer accesses whose
+// cost AccessStrided charged; everything else should use Load/Store.
 func (t *Thread) Mem() *mem.Memory { return t.mem }
 
 // Defer schedules fn to run after every warp of the current launch has
