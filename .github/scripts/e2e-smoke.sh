@@ -66,12 +66,14 @@ CACHEH_PID=$!
     -render-cache 4096 >"$WORK/cachec.log" 2>&1 &
 CACHEC_PID=$!
 # Flight-recorder leg: same multi-device fault injection as the cluster
-# leg, but with the slow-promotion threshold pinned below the 2ms
-# formation timeout so every device-path request is promoted into the
-# anomaly ring — the injected loss must then surface as a retained
-# record carrying the full failover attempt trail.
+# leg, but with the slow-promotion threshold pinned at 100us, below the
+# fastest device-path latency (~0.2ms: an idle key launches its cohort at
+# once, so no formation delay pads it), so every device-path request is
+# promoted into the anomaly ring. The injected loss must surface as a
+# retained record carrying the full failover attempt trail; the recorder
+# promotes failed-over requests as "failover" whatever their latency.
 "$BIN" -cohort -addr "$FLIGHT_ADDR" -cohort-size 8 -formation-timeout 2ms \
-    -devices 4 -fault-plan "$WORK/faults.json" -flight-slow 1ms \
+    -devices 4 -fault-plan "$WORK/faults.json" -flight-slow 100us \
     >"$WORK/flight.log" 2>&1 &
 FLIGHT_PID=$!
 # Mixed-workload leg: all three registered workloads (banking, ecom,
@@ -293,6 +295,12 @@ echo "$STATS" | grep -q '"cohorts_formed": 0' && {
     echo "e2e-smoke: cohort server formed no cohorts: $STATS" >&2
     exit 1
 }
+# The serial curl flow never finds its key busy, so work-conserving
+# formation must have launched cohorts at once, without the timeout.
+echo "$STATS" | grep -Eq '"cohorts_idle": [1-9]' || {
+    echo "e2e-smoke: cohort server launched no cohorts on an idle key: $STATS" >&2
+    exit 1
+}
 
 # The cluster leg must have taken the injected loss: device 3 dead, its
 # group failed over, and every request still answered (asserted above
@@ -311,7 +319,7 @@ echo "$CSTATS" | grep -Eq '"failovers": [1-9]' || {
 # workload — the document lists the registered workloads and qualifies
 # every type label ("banking/login", "ecom/browse").
 MIXSTATS=$(curl -sf "http://$MIX_ADDR/v1/stats")
-for needle in '"schema_version": 6' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
+for needle in '"schema_version": 7' '"workloads"' '"banking"' '"ecom"' '"telemetry"' \
     '"ecom/cart_add"' '"telemetry/poll"' '"banking/login"'; do
     echo "$MIXSTATS" | grep -q "$needle" || {
         echo "e2e-smoke: mixed-workload /v1/stats missing $needle" >&2
@@ -488,8 +496,8 @@ fetch() {
     return 1
 }
 ASTATS=$(fetch "http://$ADAPT_ADDR/v1/stats")
-echo "$ASTATS" | grep -q '"schema_version": 6' || {
-    echo "e2e-smoke: /v1/stats missing schema_version 5: $ASTATS" >&2
+echo "$ASTATS" | grep -q '"schema_version": 7' || {
+    echo "e2e-smoke: /v1/stats missing schema_version 7: $ASTATS" >&2
     exit 1
 }
 echo "$ASTATS" | grep -q '"adapt"' || {
@@ -534,11 +542,11 @@ done
 
 # Flight-recorder leg: the health engine must answer with the versioned
 # burn-rate schema, and the anomaly ring must have retained records
-# (every request here is "slow" by the pinned 1ms threshold) carrying
+# (every request here is "slow" by the pinned 100us threshold) carrying
 # the launch context the ISSUE promises for tail debugging — including
 # at least one record whose attempt trail shows the injected failover.
 FHEALTH=$(fetch "http://$FLIGHT_ADDR/v1/health")
-for needle in '"schema_version": 6' '"state"' '"fast_burn"' '"slow_burn"' \
+for needle in '"schema_version": 7' '"state"' '"fast_burn"' '"slow_burn"' \
     '"flight_anomalies"' '"exemplars"'; do
     echo "$FHEALTH" | grep -q "$needle" || {
         echo "e2e-smoke: /v1/health missing $needle: $FHEALTH" >&2
@@ -558,7 +566,7 @@ for needle in '"trace_id"' '"formation_wait_us"' '"launch_seqs"' \
     }
 done
 grep -Eq '"slow": [1-9]' "$WORK/flight.json" || {
-    echo "e2e-smoke: flight recorder promoted no slow anomalies despite 1ms threshold" >&2
+    echo "e2e-smoke: flight recorder promoted no slow anomalies despite 100us threshold" >&2
     head -50 "$WORK/flight.json" >&2
     exit 1
 }

@@ -232,14 +232,21 @@ func TestCohortServerMultiDeviceStall(t *testing.T) {
 // TestCohortServerMultiDeviceDrain: Shutdown with cohorts pinned as
 // PartiallyFull across a four-device pool must flush every one and
 // deliver all responses before closing — the multi-device graceful
-// drain contract.
+// drain contract. Every device stalls its first cohort, so each
+// (type, group) key's first login holds the key busy and the rest of
+// that key's logins wait in a partial cohort.
 func TestCohortServerMultiDeviceDrain(t *testing.T) {
+	plan := &cluster.FaultPlan{}
+	for d := 0; d < 4; d++ {
+		plan.Faults = append(plan.Faults, cluster.Fault{Device: d, Kind: cluster.KindStall, DurationMs: 1000})
+	}
 	srv, err := NewCohortServer(CohortOptions{
 		Devices:          4,
 		CohortSize:       32,
-		FormationTimeout: -1, // never: only the drain can launch these
+		FormationTimeout: -1, // never: only the drain can launch the partial cohorts
 		RequestDeadline:  30 * time.Second,
 		MaxSessions:      4096,
+		FaultPlan:        plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +271,7 @@ func TestCohortServerMultiDeviceDrain(t *testing.T) {
 	}
 
 	// Let every request reach its (type, group) cohort, then drain.
-	time.Sleep(200 * time.Millisecond)
+	waitBatched(t, srv, users)
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -296,5 +303,12 @@ func TestCohortServerMultiDeviceDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Eight logins over at most four groups: some key held a partial
+	// cohort, and with timers off only the drain flush counts a timeout.
+	st := srv.Stats()
+	if st.CohortsTimedOut == 0 || st.CohortsIdle+st.CohortsTimedOut != st.CohortsFormed {
+		t.Fatalf("cohorts formed=%d idle=%d timed_out=%d, want the drain to launch at least one partial cohort",
+			st.CohortsFormed, st.CohortsIdle, st.CohortsTimedOut)
 	}
 }

@@ -129,7 +129,7 @@ func printFlight(body []byte) error {
 	}
 	if len(doc.ByReason) > 0 {
 		fmt.Print("by reason:")
-		for _, reason := range []string{"slow", "error", "shed", "deadline", "kernel-error"} {
+		for _, reason := range []string{"slow", "failover", "error", "shed", "deadline", "kernel-error"} {
 			if c, ok := doc.ByReason[reason]; ok {
 				fmt.Printf(" %s=%d", reason, c)
 			}

@@ -227,8 +227,9 @@ func main() {
 		fmt.Println("  no cohorts launched")
 	} else {
 		early := after.CohortsEarly - before.CohortsEarly
-		fmt.Printf("  cohorts:    %d launched (%d filled, %d timed out, %d early), %d requests batched\n",
-			formed, filled, timedOut, early, batched)
+		idle := after.CohortsIdle - before.CohortsIdle
+		fmt.Printf("  cohorts:    %d launched (%d filled, %d idle, %d timed out, %d early), %d requests batched\n",
+			formed, filled, idle, timedOut, early, batched)
 		fmt.Printf("  occupancy:  %.2f mean at launch (max seen %d), timeout ratio %.0f%%\n",
 			float64(batched)/float64(formed), after.MaxOccupancy, 100*float64(timedOut)/float64(formed))
 		fmt.Printf("  formation:  %.2fms mean wait, %.2fms p99; launch %.0fus mean device time\n",

@@ -6,8 +6,9 @@
 // same services the SIMT kernels run, so the pages are byte-identical
 // to what the device pipeline generates. With -cohort it instead serves
 // through the paper's live cohort path: requests are classified,
-// batched into cohorts under the §3.1 formation timeout, and executed
-// as stage kernels on the modeled SIMT device. Either way, poke it with
+// batched into cohorts (launched when full, when their key has nothing
+// in flight, or at the §3.1 formation timeout), and executed as stage
+// kernels on the modeled SIMT device. Either way, poke it with
 // curl or drive it with cmd/rhythm-load; live counters are at
 // /v1/stats.
 //
@@ -122,7 +123,7 @@ func main() {
 		cohortOn    = flag.Bool("cohort", false, "serve through the live cohort pipeline (SIMT kernels)")
 		size        = flag.Int("cohort-size", 128, "requests per cohort (cohort mode)")
 		contexts    = flag.Int("contexts", 4, "cohort contexts in flight per device (cohort mode)")
-		formation   = flag.Duration("formation-timeout", 2*time.Millisecond, "cohort formation deadline (cohort mode)")
+		formation   = flag.Duration("formation-timeout", 2*time.Millisecond, "longest a request waits in a forming cohort while its (type, shard group) key has a cohort in flight; an idle key launches at once (cohort mode; negative = no timer)")
 		deadline    = flag.Duration("deadline", 5*time.Second, "per-request deadline incl. formation delay (cohort mode)")
 		profileOff  = flag.Bool("profile-off", false, "disable the kernel-launch profiler (cohort mode)")
 		simPar      = flag.Int("sim-parallelism", 0, "host workers per device for independent kernel launches (cohort mode; 0 = all cores, 1 = serial; results identical)")
@@ -337,8 +338,8 @@ func report(snap rhythm.ServerStats) {
 	if st == nil {
 		return
 	}
-	fmt.Printf("rhythmd: served %d responses, %d cohorts (%.1f mean occupancy, %d timed out, %d early)\n",
-		st.Served, st.CohortsFormed, st.MeanOccupancy, st.CohortsTimedOut, st.CohortsEarly)
+	fmt.Printf("rhythmd: served %d responses, %d cohorts (%.1f mean occupancy, %d idle, %d timed out, %d early)\n",
+		st.Served, st.CohortsFormed, st.MeanOccupancy, st.CohortsIdle, st.CohortsTimedOut, st.CohortsEarly)
 	if st.Adapt != nil {
 		fmt.Printf("rhythmd: adaptive controller: %d ticks, %d host fallbacks\n", st.Adapt.Ticks, st.HostFallbacks)
 	}

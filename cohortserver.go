@@ -75,10 +75,14 @@ type CohortOptions struct {
 	// sheds with 503, counted per workload in /v1/stats
 	// (workload_sheds) and /v1/metrics (rhythm_shed_total).
 	WorkloadQuotas map[string]float64
-	// FormationTimeout is the wall-clock §3.1 formation deadline
-	// measured from a cohort's first request (default 2ms; negative
-	// disables timeouts, for tests that exercise drain of partial
-	// cohorts).
+	// FormationTimeout is the wall-clock §3.1 formation deadline: the
+	// longest a request waits in a forming cohort, measured from the
+	// cohort's first request (default 2ms; negative disables the timer).
+	// Formation is work-conserving (DESIGN.md §9): a cohort whose
+	// (type, shard group) key has no cohort in flight launches at once,
+	// so the deadline only binds while that key is busy — a cohort that
+	// waits on it otherwise launches when the key's in-flight cohort
+	// finishes.
 	FormationTimeout time.Duration
 	// RequestDeadline bounds a request's end-to-end residence including
 	// formation delay; past it the connection gets a 504 (default 5s).
@@ -241,11 +245,11 @@ type perStage struct {
 }
 
 type typeCounters struct {
-	cohorts, filled, timedOut, early, requests uint64
-	hostReqs                                   uint64
-	sumOccup                                   uint64
-	maxOccup                                   int
-	stages                                     []perStage
+	cohorts, filled, timedOut, early, idle, requests uint64
+	hostReqs                                         uint64
+	sumOccup                                         uint64
+	maxOccup                                         int
+	stages                                           []perStage
 }
 
 // CohortTypeStats is the per-request-type section of CohortServerStats.
@@ -255,6 +259,7 @@ type CohortTypeStats struct {
 	Filled        uint64     `json:"filled"`
 	TimedOut      uint64     `json:"timed_out"`
 	Early         uint64     `json:"early"`
+	Idle          uint64     `json:"idle"`
 	Requests      uint64     `json:"requests"`
 	HostRequests  uint64     `json:"host_requests"`
 	MeanOccupancy float64    `json:"mean_occupancy"`
@@ -283,6 +288,7 @@ type CohortServerStats struct {
 	CohortsFilled   uint64   `json:"cohorts_filled"`
 	CohortsTimedOut uint64   `json:"cohorts_timed_out"`
 	CohortsEarly    uint64   `json:"cohorts_early"`
+	CohortsIdle     uint64   `json:"cohorts_idle"`
 	HostFallbacks   uint64   `json:"host_fallbacks"`
 	RequestsBatched uint64   `json:"requests_batched"`
 	AdmissionStalls uint64   `json:"admission_stalls"`
@@ -349,9 +355,10 @@ type CohortServerStats struct {
 // paper's cohort pipeline. It is the shared frontend plus the cohort
 // executor: the frontend's connection handlers parse and classify
 // requests on the host, a single device-loop goroutine batches them into
-// cohort.Pool contexts under the §3.1 formation timeout, and each full
-// (or timed-out) cohort runs its stage kernels on the modeled SIMT
-// device, one asynchronous stream per context. Responses are extracted
+// cohort.Pool contexts, and each formed cohort runs its stage kernels on
+// the modeled SIMT device, one asynchronous stream per context. A cohort
+// launches when it fills, when its key has nothing in flight, or when
+// the §3.1 formation timeout fires (DESIGN.md §9). Responses are extracted
 // from device memory after the response transpose and are byte-identical
 // to TCPServer's host path (the differential test in cohortserver_test.go
 // asserts this for every request type).
@@ -412,6 +419,14 @@ type CohortServer struct {
 	formWait      *stats.LatencyRecorder
 	launchLat     *stats.LatencyRecorder
 	reqLat        *stats.LatencyRecorder
+
+	// busy counts each pool key's cohorts in flight (onReady to finish);
+	// a key absent from it is idle, and its forming cohort launches at
+	// once.
+	busy map[string]int
+	// keys holds the pool key of every (type, shard group), indexed
+	// [type][group+1] (group -1 is stateless), so place builds none.
+	keys [][]string
 }
 
 // NewCohortServer builds the server, its device fabric, and its
@@ -454,6 +469,7 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		forming:   make(map[string]*formingTimer),
+		busy:      make(map[string]int),
 		perType:   make(map[string]*typeCounters),
 		formWait:  stats.NewLatencyRecorder(),
 		launchLat: stats.NewLatencyRecorder(),
@@ -472,6 +488,13 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 			SlowWindow: opts.HealthSlowWindow,
 		},
 	})
+	s.keys = make([][]string, reg.NumTypes())
+	for t := range s.keys {
+		s.keys[t] = make([]string, fab.GroupCount()+1)
+		for g := range s.keys[t] {
+			s.keys[t][g] = fmt.Sprintf("%s/%d", s.names[t], g-1)
+		}
+	}
 	ws := reg.Workloads()
 	s.wlLimit = make([]int64, len(ws))
 	s.wlInflight = make([]atomic.Int64, len(ws))
@@ -522,13 +545,17 @@ func NewCohortServer(opts CohortOptions) (*CohortServer, error) {
 			Tick:          opts.AdaptTick,
 			CrossoverRate: opts.CrossoverRate,
 		})
-		// Early launch: the advisor fires on the loop goroutine after
-		// every Add, launching a forming cohort once it reaches the
-		// controller's per-type threshold.
-		s.pool.SetAdvisor(func(c *cohort.Context[*liveReq]) bool {
-			return c.Len() >= s.ctrl.Threshold(int(c.Requests()[0].t))
-		})
 	}
+	// The advisor runs on the loop goroutine after every Add that leaves
+	// a cohort below capacity. The controller's threshold comes first, so
+	// a cohort that reaches it counts as early; otherwise a key with
+	// nothing in flight launches at once (work-conserving formation).
+	s.pool.SetAdvisor(func(c *cohort.Context[*liveReq]) (cohort.Reason, bool) {
+		if s.ctrl != nil && c.Len() >= s.ctrl.Threshold(int(c.Requests()[0].t)) {
+			return cohort.Early, true
+		}
+		return cohort.Idle, s.busy[c.Key] == 0
+	})
 	go s.loop()
 	return s, nil
 }
@@ -793,9 +820,10 @@ func (s *CohortServer) completeHost(lr *liveReq, res *cluster.Result) {
 // formation timer for the (possibly newly opened) forming cohort.
 // Cohorts are keyed by (type, shard group): a cohort executes against
 // one group's state on one device, so requests of the same type but
-// different groups form separately.
+// different groups form separately. An Add to an idle key launches
+// through the advisor, so a timer is only armed while the key is busy.
 func (s *CohortServer) place(lr *liveReq) bool {
-	key := fmt.Sprintf("%s/%d", s.names[lr.t], lr.group)
+	key := s.keys[lr.t][lr.group+1]
 	if !s.pool.Add(key, lr) {
 		return false
 	}
@@ -851,8 +879,9 @@ func (s *CohortServer) drainOverflow() {
 	}
 }
 
-// onReady fires (synchronously from pool.Add or Flush) when a cohort
-// fills or times out: account formation stats and launch the kernels.
+// onReady fires (synchronously from pool.Add, Launch or Flush) when a
+// cohort is formed: mark its key busy, account formation stats and
+// launch the kernels.
 func (s *CohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
 	if f := s.forming[c.Key]; f != nil {
 		f.timer.Stop()
@@ -860,6 +889,7 @@ func (s *CohortServer) onReady(c *cohort.Context[*liveReq], why cohort.Reason) {
 	}
 	c.MarkBusy()
 	s.inflight++
+	s.busy[c.Key]++
 	s.launch(c, why)
 }
 
@@ -887,13 +917,7 @@ func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 	t := reqs[0].t
 	count := len(reqs)
 	now := time.Now()
-	reason := "timeout"
-	switch why {
-	case cohort.Filled:
-		reason = "filled"
-	case cohort.Early:
-		reason = "early"
-	}
+	reason := why.String()
 	for _, lr := range reqs {
 		wait := float64(now.Sub(lr.enq))
 		s.record(s.formWait, wait)
@@ -919,6 +943,8 @@ func (s *CohortServer) launch(c *cohort.Context[*liveReq], why cohort.Reason) {
 		tc.filled++
 	case cohort.Early:
 		tc.early++
+	case cohort.Idle:
+		tc.idle++
 	default:
 		tc.timedOut++
 	}
@@ -947,10 +973,17 @@ func (s *CohortServer) shed(c *cohort.Context[*liveReq], reqs []*liveReq) {
 	s.finish(c)
 }
 
-// finish releases a cohort context and retries parked admissions.
+// finish releases a cohort context and, when that leaves its key with
+// nothing in flight, launches the key's forming cohort at once; then it
+// retries parked admissions.
 func (s *CohortServer) finish(c *cohort.Context[*liveReq]) {
+	key := c.Key
 	s.pool.Release(c)
 	s.inflight--
+	if s.busy[key]--; s.busy[key] == 0 {
+		delete(s.busy, key)
+		s.pool.Launch(key, cohort.Idle)
+	}
 	s.drainOverflow()
 }
 
@@ -1075,6 +1108,7 @@ func (s *CohortServer) snapshot() CohortServerStats {
 		CohortsFilled:    ps.Filled,
 		CohortsTimedOut:  ps.TimedOut,
 		CohortsEarly:     ps.Early,
+		CohortsIdle:      ps.Idle,
 		HostFallbacks:    s.hostFallbacks,
 		RequestsBatched:  ps.Requests,
 		AdmissionStalls:  ps.Stalls,
@@ -1125,6 +1159,7 @@ func (s *CohortServer) snapshot() CohortServerStats {
 			Filled:       tc.filled,
 			TimedOut:     tc.timedOut,
 			Early:        tc.early,
+			Idle:         tc.idle,
 			Requests:     tc.requests,
 			HostRequests: tc.hostReqs,
 			MaxOccupancy: tc.maxOccup,
@@ -1179,6 +1214,7 @@ func (s *CohortServer) writeMetrics(w *obs.PromWriter) {
 		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="filled"`, float64(st.Types[name].Filled))
 		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="timeout"`, float64(st.Types[name].TimedOut))
 		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="early"`, float64(st.Types[name].Early))
+		w.Value("rhythm_cohorts_total", s.typeLabel(name)+`,result="idle"`, float64(st.Types[name].Idle))
 	}
 	w.Family("rhythm_requests_batched_total", "counter", "Requests that rode a cohort launch.")
 	w.Value("rhythm_requests_batched_total", "", float64(st.RequestsBatched))

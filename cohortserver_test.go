@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rhythm/internal/cluster"
 )
 
 // startCohortServer boots a CohortServer on an ephemeral port and
@@ -31,6 +33,48 @@ func startCohortServer(t *testing.T, opts CohortOptions) *CohortServer {
 		srv.Shutdown(ctx)
 	})
 	return srv
+}
+
+// stallAfter is a fault plan that freezes device 0's worker for d of wall
+// time on the launch attempt that follows its first after units. The stalled
+// cohort stays in flight for d, so its (type, shard group) key stays
+// busy: later requests of that key wait in a forming cohort instead of
+// launching at once (work-conserving formation launches a cohort at
+// once only while its key has nothing in flight).
+func stallAfter(after int, d time.Duration) *cluster.FaultPlan {
+	return &cluster.FaultPlan{Faults: []cluster.Fault{
+		{Device: 0, Kind: cluster.KindStall, AfterUnits: after, DurationMs: int(d / time.Millisecond)},
+	}}
+}
+
+// onLoop runs fn on the server's dispatch loop goroutine and waits for
+// it, so a test can read loop-owned state without a race.
+func onLoop(t *testing.T, srv *CohortServer, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	srv.doCh <- func() { fn(); close(done) }
+	<-done
+}
+
+// waitStats polls the server's stats until ok holds, failing the test
+// after 5s.
+func waitStats(t *testing.T, srv *CohortServer, what string, ok func(CohortServerStats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if ok(srv.Stats()) {
+			return
+		}
+	}
+	t.Fatalf("timed out waiting for %s: %+v", what, srv.Stats())
+}
+
+// waitBatched waits until the pool has accepted want requests: they have
+// all reached a cohort (forming or launched).
+func waitBatched(t *testing.T, srv *CohortServer, want uint64) {
+	t.Helper()
+	waitStats(t, srv, fmt.Sprintf("%d requests batched", want), func(st CohortServerStats) bool {
+		return st.RequestsBatched >= want
+	})
 }
 
 func dialT(t *testing.T, addr net.Addr) net.Conn {
@@ -172,8 +216,8 @@ func driveAllTypes(t *testing.T, dev *CohortServer) CohortServerStats {
 }
 
 // TestCohortServerDifferentialAllTypes is the fixed-timeout byte
-// identity drive: every request forms its own single-request cohort and
-// launches by the formation timeout.
+// identity drive: every request forms its own single-request cohort and,
+// finding its key idle, launches at once.
 func TestCohortServerDifferentialAllTypes(t *testing.T) {
 	dev := startCohortServer(t, CohortOptions{
 		CohortSize:       8,
@@ -184,9 +228,9 @@ func TestCohortServerDifferentialAllTypes(t *testing.T) {
 	})
 	st := driveAllTypes(t, dev)
 	// 16 banking requests, each its own single-request cohort (serial
-	// lock-step can never batch), all launched by the formation timeout.
-	if st.CohortsFormed != 16 || st.CohortsTimedOut != 16 {
-		t.Fatalf("cohorts formed=%d timed_out=%d, want 16/16", st.CohortsFormed, st.CohortsTimedOut)
+	// lock-step can never batch), all launched at once on an idle key.
+	if st.CohortsFormed != 16 || st.CohortsIdle != 16 {
+		t.Fatalf("cohorts formed=%d idle=%d, want 16/16", st.CohortsFormed, st.CohortsIdle)
 	}
 	if len(st.Types) != 15 {
 		t.Fatalf("stats cover %d types, want 15", len(st.Types))
@@ -258,7 +302,8 @@ func TestAdaptiveDifferentialDeviceOnly(t *testing.T) {
 // TestCohortServerBatchesConcurrent proves batching on the wire: N
 // concurrent account_summary requests from distinct connections land in
 // one cohort (occupancy > 1) and every response still matches the host
-// path byte for byte.
+// path byte for byte. The burst's first cohort stalls on the device, so
+// the rest of the burst forms behind it.
 func TestCohortServerBatchesConcurrent(t *testing.T) {
 	const users = 6
 	host := NewTCPServer(4096)
@@ -274,6 +319,9 @@ func TestCohortServerBatchesConcurrent(t *testing.T) {
 		FormationTimeout: 100 * time.Millisecond, // wide window: one cohort
 		RequestDeadline:  30 * time.Second,
 		MaxSessions:      4096,
+		// The six logins launch cleanly; the burst's first cohort
+		// stalls, holding the key busy while the others arrive.
+		FaultPlan: stallAfter(users, 200*time.Millisecond),
 	})
 
 	// Serial logins on both servers keep session-id creation order
@@ -346,44 +394,196 @@ func TestCohortServerBatchesConcurrent(t *testing.T) {
 	}
 }
 
-// TestCohortServerSingleRequestTimeout: the §3.1 formation timeout must
-// fire for a cohort holding exactly one request.
-func TestCohortServerSingleRequestTimeout(t *testing.T) {
-	srv := startCohortServer(t, CohortOptions{
-		CohortSize:       32,
-		FormationTimeout: 20 * time.Millisecond,
-		RequestDeadline:  30 * time.Second,
-	})
-	uid, pw := srv.Seed(1234)
+// postLogin sends a login for uid on a fresh connection and returns a
+// reader for its response.
+func postLogin(t *testing.T, srv *CohortServer, uid uint64) *bufio.Reader {
+	t.Helper()
+	uid, pw := srv.Seed(uid)
 	conn := dialT(t, srv.Addr())
 	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-	startAt := time.Now()
 	fmt.Fprintf(conn, "POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	resp := readRawResponse(t, bufio.NewReader(conn))
-	if !bytes.Contains(resp, []byte("Login successful")) {
-		t.Fatalf("timeout-launched cohort produced a bad page: %.200q", resp)
-	}
-	if waited := time.Since(startAt); waited < 20*time.Millisecond {
-		t.Fatalf("response after %v, before the formation timeout", waited)
-	}
+	return bufio.NewReader(conn)
+}
+
+// TestCohortServerSingleRequestTimeout: the §3.1 formation timeout must
+// fire for a cohort holding exactly one request, queued behind a stalled
+// cohort of its key, and no earlier than the timeout.
+func TestCohortServerSingleRequestTimeout(t *testing.T) {
+	const timeout, stall = 20 * time.Millisecond, 300 * time.Millisecond
+	srv := startCohortServer(t, CohortOptions{
+		CohortSize:       32,
+		FormationTimeout: timeout,
+		RequestDeadline:  30 * time.Second,
+		FaultPlan:        stallAfter(0, stall),
+	})
+	first := postLogin(t, srv, 1234)
+	waitBatched(t, srv, 1) // launched at once, now stalled on the device
+	second := postLogin(t, srv, 1235)
+	readLogins(t, first, second)
 	st := srv.Stats()
-	if st.CohortsFormed != 1 || st.CohortsTimedOut != 1 || st.CohortsFilled != 0 {
-		t.Fatalf("cohort stats formed=%d timeout=%d filled=%d, want 1/1/0",
-			st.CohortsFormed, st.CohortsTimedOut, st.CohortsFilled)
+	if st.CohortsFormed != 2 || st.CohortsIdle != 1 || st.CohortsTimedOut != 1 || st.CohortsFilled != 0 {
+		t.Fatalf("cohort stats formed=%d idle=%d timeout=%d filled=%d, want 2/1/1/0",
+			st.CohortsFormed, st.CohortsIdle, st.CohortsTimedOut, st.CohortsFilled)
 	}
 	if st.MeanOccupancy != 1 {
 		t.Fatalf("mean occupancy %v, want 1", st.MeanOccupancy)
 	}
+	// The second request's formation wait is the longest: at least the
+	// timeout, and well short of the stall (the timer launched it, not
+	// the stalled cohort's completion).
+	var maxWait time.Duration
+	onLoop(t, srv, func() { maxWait = time.Duration(srv.formWait.Max()) })
+	if maxWait < timeout || maxWait >= stall {
+		t.Fatalf("timed-out request waited %v in formation, want [%v, %v)", maxWait, timeout, stall)
+	}
+}
+
+// readLogins reads one login response from each reader and fails on any
+// page that is not a successful login.
+func readLogins(t *testing.T, rs ...*bufio.Reader) {
+	t.Helper()
+	for _, r := range rs {
+		if resp := readRawResponse(t, r); !bytes.Contains(resp, []byte("Login successful")) {
+			t.Fatalf("cohort produced a bad page: %.200q", resp)
+		}
+	}
+}
+
+// TestCohortServerIdleKeyLaunchesAtOnce: a request whose key has nothing
+// in flight launches at once — no formation timer is ever armed, and its
+// formation wait is far below the timeout. The launch is visible as
+// "idle" in the stats, the metrics and the flight record.
+func TestCohortServerIdleKeyLaunchesAtOnce(t *testing.T) {
+	const timeout = time.Second
+	srv := startCohortServer(t, CohortOptions{
+		CohortSize:       32,
+		FormationTimeout: timeout,
+		RequestDeadline:  30 * time.Second,
+		FlightSlow:       time.Nanosecond, // retain every record
+	})
+	readLogins(t, postLogin(t, srv, 4321))
+
+	var armed uint64
+	var forming int
+	var maxWait time.Duration
+	onLoop(t, srv, func() {
+		armed, forming = srv.nextGen, len(srv.forming)
+		maxWait = time.Duration(srv.formWait.Max())
+	})
+	if armed != 0 || forming != 0 {
+		t.Fatalf("formation timers armed=%d forming=%d, want 0/0 on an idle key", armed, forming)
+	}
+	if maxWait > timeout/10 {
+		t.Fatalf("formation wait %v on an idle key, want far below the %v timeout", maxWait, timeout)
+	}
+	st := srv.Stats()
+	if st.CohortsFormed != 1 || st.CohortsIdle != 1 || st.Types["banking/login"].Idle != 1 {
+		t.Fatalf("cohorts formed=%d idle=%d login idle=%d, want 1/1/1",
+			st.CohortsFormed, st.CohortsIdle, st.Types["banking/login"].Idle)
+	}
+	doc := fetchFlightDoc(t, srv.Addr())
+	if len(doc.Records) != 1 || doc.Records[0].LaunchReason != "idle" {
+		t.Fatalf("flight records %+v, want one with launch_reason idle", doc.Records)
+	}
+}
+
+// TestCohortServerBusyKeyBatchesBehindInFlight: requests that arrive
+// while their key's cohort is stalled on the device batch into one
+// cohort, which launches with reason idle the moment the stalled cohort
+// completes — long before its formation timer would fire.
+func TestCohortServerBusyKeyBatchesBehindInFlight(t *testing.T) {
+	srv := startCohortServer(t, CohortOptions{
+		CohortSize:       32,
+		FormationTimeout: 10 * time.Second,
+		RequestDeadline:  30 * time.Second,
+		FaultPlan:        stallAfter(0, 300*time.Millisecond),
+		FlightSlow:       time.Nanosecond, // retain every record
+	})
+	first := postLogin(t, srv, 5000)
+	waitBatched(t, srv, 1)
+	var rest []*bufio.Reader
+	for uid := uint64(5001); uid <= 5003; uid++ {
+		rest = append(rest, postLogin(t, srv, uid))
+	}
+	waitBatched(t, srv, 4)
+	readLogins(t, append(rest, first)...)
+
+	st := srv.Stats()
+	if st.CohortsFormed != 2 || st.CohortsIdle != 2 || st.CohortsTimedOut != 0 || st.MaxOccupancy != 3 {
+		t.Fatalf("cohorts formed=%d idle=%d timed_out=%d max occupancy=%d, want 2/2/0/3",
+			st.CohortsFormed, st.CohortsIdle, st.CohortsTimedOut, st.MaxOccupancy)
+	}
+	var forming int
+	onLoop(t, srv, func() { forming = len(srv.forming) })
+	if forming != 0 {
+		t.Fatalf("%d formation timers left armed after the idle launch", forming)
+	}
+	var batched int
+	for _, rec := range fetchFlightDoc(t, srv.Addr()).Records {
+		if rec.CohortSize == 3 {
+			batched++
+			if rec.LaunchReason != "idle" {
+				t.Fatalf("batched record launch_reason %q, want idle", rec.LaunchReason)
+			}
+		}
+	}
+	if batched != 3 {
+		t.Fatalf("%d flight records rode the 3-request cohort, want 3", batched)
+	}
+}
+
+// TestCohortServerBusyKeyLaunchesByTimeout: while a key stays busy the
+// formation timeout is still the §3.1 bound — each cohort formed behind
+// the stalled one launches by its timer, so the key can hold several
+// cohorts in flight. Once they all finish the key is idle again and the
+// next request launches at once.
+func TestCohortServerBusyKeyLaunchesByTimeout(t *testing.T) {
+	const stall = 400 * time.Millisecond
+	srv := startCohortServer(t, CohortOptions{
+		CohortSize:       32,
+		FormationTimeout: 20 * time.Millisecond,
+		RequestDeadline:  30 * time.Second,
+		FaultPlan:        stallAfter(0, stall),
+	})
+	start := time.Now()
+	first := postLogin(t, srv, 6000)
+	waitBatched(t, srv, 1)
+	second := postLogin(t, srv, 6001)
+	waitStats(t, srv, "1 timed-out cohort", func(st CohortServerStats) bool { return st.CohortsTimedOut == 1 })
+	third := postLogin(t, srv, 6002)
+	waitStats(t, srv, "2 timed-out cohorts", func(st CohortServerStats) bool { return st.CohortsTimedOut == 2 })
+	if elapsed := time.Since(start); elapsed >= stall {
+		t.Fatalf("timeouts took %v, not inside the %v stall", elapsed, stall)
+	}
+	var busy int
+	onLoop(t, srv, func() { busy = srv.busy["banking/login/0"] })
+	if busy != 3 {
+		t.Fatalf("login key has %d cohorts in flight, want 3 (one stalled, two timed out)", busy)
+	}
+	readLogins(t, first, second, third)
+
+	readLogins(t, postLogin(t, srv, 6003))
+	st := srv.Stats()
+	if st.CohortsFormed != 4 || st.CohortsIdle != 2 || st.CohortsTimedOut != 2 {
+		t.Fatalf("cohorts formed=%d idle=%d timed_out=%d, want 4/2/2",
+			st.CohortsFormed, st.CohortsIdle, st.CohortsTimedOut)
+	}
+	onLoop(t, srv, func() { busy = len(srv.busy) })
+	if busy != 0 {
+		t.Fatalf("%d keys still marked busy with nothing in flight", busy)
+	}
 }
 
 // TestCohortServerShutdownFlushesPartial: Shutdown while a cohort is
-// PartiallyFull (timeouts disabled, so it would otherwise wait forever)
-// must flush it and deliver the real response before closing.
+// PartiallyFull (timeouts disabled, and its key held busy by a stalled
+// cohort, so it would otherwise wait for the stall) must flush it and
+// deliver the real response before closing.
 func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 	srv, err := NewCohortServer(CohortOptions{
 		CohortSize:       32,
-		FormationTimeout: -1, // never: only drain can launch this cohort
+		FormationTimeout: -1, // never: only drain can launch the partial cohort
 		RequestDeadline:  30 * time.Second,
+		FaultPlan:        stallAfter(0, time.Second),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,13 +593,12 @@ func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 	}
 	go srv.Serve()
 
-	uid, pw := srv.Seed(55)
-	conn := dialT(t, srv.Addr())
-	body := fmt.Sprintf("userid=%d&passwd=%s", uid, pw)
-	fmt.Fprintf(conn, "POST /login.php HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	stalled := postLogin(t, srv, 54)
+	waitBatched(t, srv, 1)
+	partial := postLogin(t, srv, 55)
 
-	// Let the request reach the pool, then drain.
-	time.Sleep(100 * time.Millisecond)
+	// Let the second request reach its forming cohort, then drain.
+	waitBatched(t, srv, 2)
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -407,15 +606,15 @@ func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 		shutdownErr <- srv.Shutdown(ctx)
 	}()
 
-	resp := readRawResponse(t, bufio.NewReader(conn))
-	if !bytes.Contains(resp, []byte("Login successful")) {
-		t.Fatalf("drained cohort produced a bad page: %.200q", resp)
-	}
+	readLogins(t, partial, stalled)
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if st := srv.Stats(); st.CohortsFormed != 1 {
-		t.Fatalf("cohorts formed = %d, want 1 (the drain flush)", st.CohortsFormed)
+	// Timers are off, so the one timeout-counted launch is the drain
+	// flush of the partial cohort.
+	if st := srv.Stats(); st.CohortsFormed != 2 || st.CohortsIdle != 1 || st.CohortsTimedOut != 1 {
+		t.Fatalf("cohorts formed=%d idle=%d timed_out=%d, want 2/1/1 (the drain flush)",
+			st.CohortsFormed, st.CohortsIdle, st.CohortsTimedOut)
 	}
 	// The listener is gone.
 	if _, err := net.Dial("tcp", srv.Addr().String()); err == nil {
@@ -423,21 +622,21 @@ func TestCohortServerShutdownFlushesPartial(t *testing.T) {
 	}
 }
 
-// TestCohortServerRejectsWhenSaturated: with one context pinned by a
-// never-launching cohort and no overflow allowance, a request of a
+// TestCohortServerRejectsWhenSaturated: with the only context held Busy
+// by a stalled cohort and no overflow allowance, a request of a
 // different type must shed with 503 + Retry-After.
 func TestCohortServerRejectsWhenSaturated(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
-		CohortSize:       4,
-		MaxCohorts:       1,
-		FormationTimeout: -1, // pin the only context as PartiallyFull
-		OverflowLimit:    -1, // no parking: reject immediately
-		RequestDeadline:  30 * time.Second,
+		CohortSize:      4,
+		MaxCohorts:      1,
+		OverflowLimit:   -1, // no parking: reject immediately
+		RequestDeadline: 30 * time.Second,
+		FaultPlan:       stallAfter(0, 500*time.Millisecond), // hold the only context Busy
 	})
 
 	conn1 := dialT(t, srv.Addr())
 	fmt.Fprintf(conn1, "GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=0-0-0\r\n\r\n")
-	time.Sleep(100 * time.Millisecond) // let it occupy the context
+	waitBatched(t, srv, 1) // it occupies the context
 
 	conn2 := dialT(t, srv.Addr())
 	fmt.Fprintf(conn2, "GET /profile.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=0-0-0\r\n\r\n")
@@ -455,17 +654,18 @@ func TestCohortServerRejectsWhenSaturated(t *testing.T) {
 	if st.AdmissionStalls == 0 {
 		t.Fatal("pool admission stall not counted")
 	}
-	// conn1's parked request is answered by the cleanup Shutdown's drain
-	// flush (delivery is asserted by TestCohortServerShutdownFlushesPartial).
+	// conn1's stalled request completes when the stall ends; the cleanup
+	// Shutdown waits for it.
 }
 
-// TestCohortServerRequestDeadline: a request stuck in formation past
-// RequestDeadline gets a 504 and the connection stays usable.
+// TestCohortServerRequestDeadline: a request stuck past RequestDeadline
+// (its cohort stalled on the device) gets a 504 and the connection
+// stays usable.
 func TestCohortServerRequestDeadline(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
-		CohortSize:       32,
-		FormationTimeout: -1, // never launch: the deadline must fire
-		RequestDeadline:  60 * time.Millisecond,
+		CohortSize:      32,
+		RequestDeadline: 60 * time.Millisecond,
+		FaultPlan:       stallAfter(0, 300*time.Millisecond), // the deadline must fire first
 	})
 	conn := dialT(t, srv.Addr())
 	r := bufio.NewReader(conn)

@@ -46,8 +46,9 @@ func main() {
 			spec.GID, spec.Display, spec.BufferBytes, spec.MixPercent, spec.Backends, cookie)
 	}
 
-	// One cohort server, all three workloads: small cohorts and a short
-	// formation timeout so this low-rate demo still batches.
+	// One cohort server, all three workloads, with small cohorts and a
+	// short formation timeout. At this demo's low rate each request
+	// finds its key idle and launches at once.
 	srv, err := rhythm.New("127.0.0.1:0", rhythm.WithFormation(8, 4, 2*time.Millisecond))
 	if err != nil {
 		log.Fatal(err)

@@ -224,21 +224,21 @@ func TestFlightHealthEndpoints(t *testing.T) {
 }
 
 // TestFlightShedPromotesExactlyOne: a request shed by the saturated pool
-// promotes exactly one anomaly record with reason "shed" — the pinned
-// request still in formation is not finished, and the shed 503 itself
-// carries the trace ID that names the record.
+// promotes exactly one anomaly record with reason "shed" — the stalled
+// request holding the only context is not finished, and the shed 503
+// itself carries the trace ID that names the record.
 func TestFlightShedPromotesExactlyOne(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
-		CohortSize:       4,
-		MaxCohorts:       1,
-		FormationTimeout: -1, // pin the only context as PartiallyFull
-		OverflowLimit:    -1, // no parking: reject immediately
-		RequestDeadline:  30 * time.Second,
+		CohortSize:      4,
+		MaxCohorts:      1,
+		OverflowLimit:   -1, // no parking: reject immediately
+		RequestDeadline: 30 * time.Second,
+		FaultPlan:       stallAfter(0, 500*time.Millisecond), // hold the only context Busy
 	})
 
 	conn1 := dialT(t, srv.Addr())
 	fmt.Fprintf(conn1, "GET /account_summary.php HTTP/1.1\r\nHost: t\r\nCookie: MY_ID=0-0-0\r\n\r\n")
-	time.Sleep(100 * time.Millisecond) // let it occupy the context
+	waitBatched(t, srv, 1) // it occupies the context
 
 	conn2 := dialT(t, srv.Addr())
 	r2 := bufio.NewReader(conn2)
@@ -271,13 +271,14 @@ func TestFlightShedPromotesExactlyOne(t *testing.T) {
 }
 
 // TestFlightDeadlinePromotesExactlyOne: a request that misses its
-// deadline in formation promotes exactly one record with reason
-// "deadline"; the never-launching pinned cohort contributes nothing.
+// deadline promotes exactly one record with reason "deadline"; its
+// stalled cohort, still in flight when the handler gives up,
+// contributes nothing.
 func TestFlightDeadlinePromotesExactlyOne(t *testing.T) {
 	srv := startCohortServer(t, CohortOptions{
-		CohortSize:       32,
-		FormationTimeout: -1, // never launch: the deadline must fire
-		RequestDeadline:  60 * time.Millisecond,
+		CohortSize:      32,
+		RequestDeadline: 60 * time.Millisecond,
+		FaultPlan:       stallAfter(0, 300*time.Millisecond), // the deadline must fire first
 	})
 	conn := dialT(t, srv.Addr())
 	r := bufio.NewReader(conn)
@@ -338,6 +339,9 @@ func TestFlightFailoverRecordsHops(t *testing.T) {
 			continue
 		}
 		hop = true
+		if rec.Reason != "failover" {
+			t.Fatalf("failover record promoted as %q, want failover: %+v", rec.Reason, rec)
+		}
 		if rec.Device < 0 {
 			t.Fatalf("failover record has no device: %+v", rec)
 		}
@@ -353,6 +357,35 @@ func TestFlightFailoverRecordsHops(t *testing.T) {
 	}
 	if !hop {
 		t.Fatalf("no promoted record shows a failover hop (attempts > 1); records: %+v", doc.Records)
+	}
+}
+
+// TestFlightFailoverPromotedWhenFast: the failover trail is retained
+// even when no request is slow — with the slow threshold far above any
+// latency, only the failed-over requests promote, with reason
+// "failover", and /v1/metrics counts them under that label.
+func TestFlightFailoverPromotedWhenFast(t *testing.T) {
+	target := faultTargetDevice(differentialUIDs[0], 4)
+	plan := &cluster.FaultPlan{Faults: []cluster.Fault{
+		{Device: target, Kind: cluster.KindLoss, AfterUnits: 1},
+	}}
+	opts := multiDeviceOpts(plan)
+	opts.FlightSlow = time.Hour // nothing is slow
+	dev := startCohortServer(t, opts)
+	driveDifferential(t, dev, differentialUIDs)
+
+	doc := fetchFlightDoc(t, dev.Addr())
+	if doc.ByReason["failover"] == 0 || doc.ByReason["slow"] != 0 || doc.Promoted != doc.ByReason["failover"] {
+		t.Fatalf("by_reason = %v (promoted %d), want only failover promotions", doc.ByReason, doc.Promoted)
+	}
+	for _, rec := range doc.Records {
+		if rec.Status != "ok" || rec.Attempts < 2 || rec.Reason != "failover" {
+			t.Fatalf("promoted record is not an ok failover: %+v", rec)
+		}
+	}
+	want := fmt.Sprintf(`rhythm_flight_anomalies_by_reason_total{reason="failover"} %d`, doc.ByReason["failover"])
+	if resp := scrape(t, dev.Addr(), MetricsPathV1); !strings.Contains(resp, want+"\n") {
+		t.Fatalf("/v1/metrics missing %q", want)
 	}
 }
 

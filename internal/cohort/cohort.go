@@ -49,6 +49,10 @@ const (
 	// Early: the pool's advisor launched the cohort below capacity
 	// (adaptive early-launch threshold, DESIGN.md §12).
 	Early
+	// Idle: the cohort launched below capacity because nothing else of
+	// its key was in flight, so waiting would only idle the device
+	// (work-conserving formation, DESIGN.md §9).
+	Idle
 )
 
 func (r Reason) String() string {
@@ -57,6 +61,8 @@ func (r Reason) String() string {
 		return "timeout"
 	case Early:
 		return "early"
+	case Idle:
+		return "idle"
 	}
 	return "filled"
 }
@@ -99,6 +105,7 @@ type Stats struct {
 	Filled    uint64 // ... because they filled
 	TimedOut  uint64 // ... because the formation timeout fired
 	Early     uint64 // ... because the advisor launched them early
+	Idle      uint64 // ... because their key had nothing in flight
 	Requests  uint64 // requests accepted
 	Stalls    uint64 // Add calls rejected for lack of a Free context
 	SumOccup  uint64 // sum of cohort sizes at launch (for mean occupancy)
@@ -127,17 +134,16 @@ type Pool[T any] struct {
 	size     int
 	timeout  sim.Time
 	onReady  func(*Context[T], Reason)
-	advisor  func(*Context[T]) bool
+	advisor  func(*Context[T]) (Reason, bool)
 	stats    Stats
 }
 
-// SetAdvisor installs an early-launch hook: after every Add that leaves
-// a cohort below capacity, the advisor may return true to launch it
-// immediately with Reason Early. The adaptive controller uses this to
-// launch once a cohort reaches its computed threshold instead of waiting
-// for capacity or the formation timeout. Must be called before Add; nil
-// removes the hook.
-func (p *Pool[T]) SetAdvisor(fn func(*Context[T]) bool) { p.advisor = fn }
+// SetAdvisor installs a below-capacity launch hook: after every Add that
+// leaves a cohort below capacity, the advisor may return (reason, true)
+// to launch it immediately for that reason — Early once the adaptive
+// controller's threshold is reached, Idle when the cohort's key has
+// nothing in flight. Must be called before Add; nil removes the hook.
+func (p *Pool[T]) SetAdvisor(fn func(*Context[T]) (Reason, bool)) { p.advisor = fn }
 
 // NewPool creates a pool of n contexts of the given cohort size. timeout
 // is the formation deadline measured from a cohort's first request
@@ -210,20 +216,31 @@ func (p *Pool[T]) Add(key string, req T) bool {
 	p.stats.Requests++
 	if len(c.requests) == c.capacity {
 		p.launch(c, Filled)
-	} else if p.advisor != nil && p.advisor(c) {
-		p.launch(c, Early)
+	} else if p.advisor != nil {
+		if why, ok := p.advisor(c); ok {
+			p.launch(c, why)
+		}
 	}
 	return true
 }
 
+// Launch launches the forming cohort for key, regardless of fill, and
+// counts it under why. It reports whether a cohort was forming.
+func (p *Pool[T]) Launch(key string, why Reason) bool {
+	c, ok := p.open[key]
+	if ok {
+		p.launch(c, why)
+	}
+	return ok
+}
+
 // Flush force-launches the forming cohort for key (or all forming
-// cohorts when key is ""), regardless of fill. Used at end of a request
-// stream so no request is stranded.
+// cohorts when key is ""), regardless of fill, counted as TimedOut. Used
+// when a formation deadline fires and at end of a request stream, so no
+// request is stranded.
 func (p *Pool[T]) Flush(key string) {
 	if key != "" {
-		if c, ok := p.open[key]; ok {
-			p.launch(c, TimedOut)
-		}
+		p.Launch(key, TimedOut)
 		return
 	}
 	for _, c := range p.contexts {
@@ -275,6 +292,8 @@ func (p *Pool[T]) launch(c *Context[T], why Reason) {
 		p.stats.Filled++
 	case Early:
 		p.stats.Early++
+	case Idle:
+		p.stats.Idle++
 	default:
 		p.stats.TimedOut++
 	}

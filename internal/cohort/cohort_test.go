@@ -246,7 +246,7 @@ func TestAdvisorEarlyLaunch(t *testing.T) {
 	eng := sim.NewEngine()
 	p, got := poolWithCollector(eng, 2, 8, 0)
 	thr := 3
-	p.SetAdvisor(func(c *Context[int]) bool { return c.Len() >= thr })
+	p.SetAdvisor(func(c *Context[int]) (Reason, bool) { return Early, c.Len() >= thr })
 	for i := 0; i < 3; i++ {
 		p.Add("login", i)
 	}
@@ -273,6 +273,39 @@ func TestAdvisorEarlyLaunch(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.Formed != 2 || st.Early != 1 || st.Filled != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAdvisorIdleAndLaunch: the advisor's reason is the one counted, and
+// Launch launches a forming cohort under the caller's reason rather than
+// TimedOut (the live server's launch-on-finish).
+func TestAdvisorIdleAndLaunch(t *testing.T) {
+	eng := sim.NewEngine()
+	p, got := poolWithCollector(eng, 4, 8, 0)
+	busy := false
+	p.SetAdvisor(func(c *Context[int]) (Reason, bool) { return Idle, !busy })
+	p.Add("k", 1) // idle key: launches alone
+	busy = true
+	p.Add("k", 2)
+	p.Add("k", 3) // busy key: both wait
+	if len(*got) != 1 || (*got)[0].why != Idle || (*got)[0].n != 1 {
+		t.Fatalf("launches = %+v, want one Idle launch of 1", *got)
+	}
+	if !p.Launch("k", Idle) {
+		t.Fatal("Launch found no forming cohort")
+	}
+	if p.Launch("k", Idle) {
+		t.Fatal("Launch reported a cohort after the key's launch")
+	}
+	if r := (*got)[1]; r.n != 2 || r.why != Idle {
+		t.Fatalf("second launch = %+v, want n=2 why=Idle", r)
+	}
+	if Idle.String() != "idle" {
+		t.Fatalf("Idle.String() = %q", Idle.String())
+	}
+	st := p.Stats()
+	if st.Formed != 2 || st.Idle != 2 || st.TimedOut != 0 || st.SumOccup != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

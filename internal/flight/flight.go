@@ -59,6 +59,9 @@ const (
 	ReasonShed
 	ReasonDeadline
 	ReasonKernel
+	// ReasonFailover: the request succeeded but its attempt trail shows
+	// a retry or failover hop (Attempts > 1), however fast it was.
+	ReasonFailover
 	reasonCount
 )
 
@@ -74,6 +77,8 @@ func (r Reason) String() string {
 		return "deadline"
 	case ReasonKernel:
 		return "kernel-error"
+	case ReasonFailover:
+		return "failover"
 	}
 	return "none"
 }
@@ -196,9 +201,10 @@ func (r *Recorder) NextID() uint64 { return r.ids.Add(1) }
 
 // Finish ends a request's record: the latency feeds the streaming
 // distribution, and the record is promoted into the anomaly ring iff the
-// request errored, was shed, missed its deadline, hit a kernel error, or
-// was slow (past Config.Slow, or past the adaptive p99 bucket edge once
-// warm). Returns whether the record was promoted. The caller may Reset
+// request errored, was shed, missed its deadline, hit a kernel error,
+// needed more than one attempt (failover, ahead of slow: the failover
+// trail is retained whatever the latency), or was slow (past
+// Config.Slow, or past the adaptive p99 bucket edge once warm). Returns whether the record was promoted. The caller may Reset
 // and reuse rec immediately either way, but must not mutate rec.Spans
 // after a promotion (the ring retains the slice).
 func (r *Recorder) Finish(rec *Record) bool {
@@ -212,7 +218,9 @@ func (r *Recorder) Finish(rec *Record) bool {
 	reason := NotPromoted
 	switch rec.Status {
 	case StatusOK:
-		if slow := r.cfg.Slow; slow > 0 {
+		if rec.Attempts > 1 {
+			reason = ReasonFailover
+		} else if slow := r.cfg.Slow; slow > 0 {
 			if rec.Latency > slow {
 				reason = ReasonSlow
 			}

@@ -80,6 +80,35 @@ func TestExplicitSlowThreshold(t *testing.T) {
 	}
 }
 
+// TestFailoverPromotes: a successful request with more than one attempt
+// promotes as "failover" even when it is fast, and a slow one with a
+// failover trail is counted as failover, not slow.
+func TestFailoverPromotes(t *testing.T) {
+	r := New(Config{Ring: 4, Slow: 10 * time.Millisecond})
+	clean := okRecord(1, time.Millisecond)
+	clean.Attempts = 1
+	if r.Finish(&clean) {
+		t.Fatal("fast single-attempt request promoted")
+	}
+	fast := okRecord(2, time.Millisecond)
+	fast.Attempts = 2
+	if !r.Finish(&fast) || fast.Reason != ReasonFailover {
+		t.Fatalf("fast failed-over request not promoted as failover (reason %v)", fast.Reason)
+	}
+	slow := okRecord(3, 11*time.Millisecond)
+	slow.Attempts = 3
+	if !r.Finish(&slow) || slow.Reason != ReasonFailover {
+		t.Fatalf("slow failed-over request promoted as %v, want failover", slow.Reason)
+	}
+	s := r.Snapshot(0)
+	if s.ByReason["failover"] != 2 || s.ByReason["slow"] != 0 {
+		t.Fatalf("by_reason = %v, want failover=2 and no slow", s.ByReason)
+	}
+	if ReasonFailover.String() != "failover" {
+		t.Fatalf("ReasonFailover.String() = %q", ReasonFailover.String())
+	}
+}
+
 // TestAdaptiveThreshold: with no explicit threshold, the recorder warms
 // up on the live distribution and then promotes only the outliers.
 func TestAdaptiveThreshold(t *testing.T) {

@@ -32,8 +32,11 @@ import (
 // failover / link saturation counters, per-workload "workload_sheds",
 // and the /v1/topology endpoint. Version 6 retires banking's bare
 // legacy labels: every type label is workload-qualified
-// ("banking/login", like "ecom/browse").
-const StatsSchemaVersion = 6
+// ("banking/login", like "ecom/browse"). Version 7 adds the
+// work-conserving formation launch reason (DESIGN.md §9): global
+// "cohorts_idle" and per-type "idle" counts, and result="idle" on
+// rhythm_cohorts_total.
+const StatsSchemaVersion = 7
 
 // DefaultRegistry builds the process-default workload registry: banking,
 // then e-commerce, then streaming telemetry.

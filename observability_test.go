@@ -100,7 +100,7 @@ func TestCohortServerMetricsEndpoint(t *testing.T) {
 		`rhythm_build_info{mode="cohort"} 1`,
 		`rhythm_requests_total{workload="banking",type="banking/login"} 1`,
 		`rhythm_request_latency_seconds_count{workload="banking",type="banking/login"} 1`,
-		`rhythm_cohorts_total{workload="banking",type="banking/login",result="timeout"} 1`,
+		`rhythm_cohorts_total{workload="banking",type="banking/login",result="idle"} 1`,
 	} {
 		if !strings.Contains(resp, want+"\n") {
 			t.Fatalf("/v1/metrics missing sample %q:\n%s", want, resp)

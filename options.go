@@ -101,7 +101,8 @@ func WithDevices(n int) Option {
 }
 
 // WithFormation sets the cohort geometry: requests per cohort, cohort
-// contexts in flight across the pool, and the §3.1 formation deadline
+// contexts in flight across the pool, and the §3.1 formation deadline,
+// which binds only while a cohort's key has another cohort in flight
 // (negative timeout disables it). Zero values keep the defaults
 // documented on CohortOptions.
 func WithFormation(size, contexts int, timeout time.Duration) Option {

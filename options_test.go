@@ -46,8 +46,8 @@ func TestNewHostServer(t *testing.T) {
 		t.Fatalf("host snapshot wrong: %+v", snap)
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 6`) {
-		t.Fatalf("%s missing schema_version 5:\n%s", StatsPathV1, body)
+	if !strings.Contains(body, `"schema_version": 7`) {
+		t.Fatalf("%s missing schema_version 7:\n%s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"mode": "host"`) {
 		t.Fatalf("%s missing host mode:\n%s", StatsPathV1, body)
@@ -86,7 +86,7 @@ func TestNewCohortServer(t *testing.T) {
 		t.Fatal("WithSLO did not enable the adaptive controller")
 	}
 	body := string(get(t, srv, StatsPathV1))
-	if !strings.Contains(body, `"schema_version": 6`) || !strings.Contains(body, `"mode": "cohort"`) {
+	if !strings.Contains(body, `"schema_version": 7`) || !strings.Contains(body, `"mode": "cohort"`) {
 		t.Fatalf("%s wrong stats document:\n%.300s", StatsPathV1, body)
 	}
 	if !strings.Contains(body, `"adapt"`) {
